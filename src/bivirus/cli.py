@@ -144,7 +144,6 @@ class AnalysisReport:
     enumeration: equilibria.EnumerationResult
     boundary: tuple
     sufficient: equilibria.SufficientConditions | None
-    sandwich: sim.SandwichResult | None = None
 
 
 def build_analysis_report(system: BivirusSystem) -> AnalysisReport:
@@ -232,8 +231,6 @@ def analysis_to_dict(rep: AnalysisReport) -> dict:
             "row_sum_gap": rep.sufficient.row_sum_gap,
             "profile_dominance": rep.sufficient.profile_dominance,
         }
-    if rep.sandwich is not None:
-        doc["sandwich"] = sandwich_to_dict(rep.sandwich)
     return doc
 
 

@@ -148,7 +148,12 @@ def single_virus_endemic(B, D, tol: float = 1e-12, max_iter: int = 20000):
     d = np.diag(D)
     if speclin.spectral_radius(B / d[:, None]) <= 1.0:
         return None
+    return _endemic_profile(B, d, tol, max_iter)
 
+
+def _endemic_profile(B, d, tol=1e-12, max_iter=20000):
+    """The solve behind `single_virus_endemic`, for a B already known to be
+    nonnegative, irreducible and supercritical against the rates d."""
     n = B.shape[0]
     x = np.full(n, 0.5)
     for _ in range(max_iter):
@@ -169,7 +174,7 @@ def single_virus_endemic(B, D, tol: float = 1e-12, max_iter: int = 20000):
         r = res(x)
         if np.max(np.abs(r)) <= tol:
             break
-        J = -D + (1.0 - x)[:, None] * B - np.diag(B @ x)
+        J = -np.diag(d) + (1.0 - x)[:, None] * B - np.diag(B @ x)
         x = x - np.linalg.solve(J, r)
     else:
         raise ConvergenceError("endemic Newton polish hit iteration cap",
@@ -177,6 +182,17 @@ def single_virus_endemic(B, D, tol: float = 1e-12, max_iter: int = 20000):
     if (x <= 0).any() or (x >= 1).any():
         raise ConvergenceError("endemic profile left (0, 1)", iterate=x)
     return x
+
+
+def _boundary_data(sys: BivirusSystem):
+    """(recovery-normalized system, (x1_bar, x2_bar)), with a profile None
+    when its virus is subcritical (Ri <= 1).  Every analysis below starts
+    from these, computed once per call."""
+    ns = model.normalize_recovery(sys)
+    rs = model.reproduction_numbers(ns)
+    ones = np.ones(ns.n)
+    return ns, tuple(_endemic_profile(B, ones) if r > 1.0 else None
+                     for r, B in zip(rs, (ns.B1, ns.B2)))
 
 
 # ---------------------------------------------------------------------------
@@ -190,14 +206,12 @@ def boundary_stability(sys: BivirusSystem, band: float = speclin.CLASSIFY_BAND):
     system is recovery-normalized internally (equilibria and their
     stability are unchanged by that).
     """
-    ns = model.normalize_recovery(sys)
-    r1, r2 = model.reproduction_numbers(ns)
+    ns, bars = _boundary_data(sys)
     verdicts = []
-    for r, B_own, B_other in ((r1, ns.B1, ns.B2), (r2, ns.B2, ns.B1)):
-        if r <= 1.0:
+    for xbar, B_other in zip(bars, (ns.B2, ns.B1)):
+        if xbar is None:
             verdicts.append(None)
             continue
-        xbar = single_virus_endemic(B_own, np.eye(ns.n))
         rho_cross = speclin.spectral_radius((1.0 - xbar)[:, None] * B_other)
         if rho_cross < 1.0 - band:
             verdict = "locally_stable"
@@ -221,9 +235,8 @@ def sufficient_conditions(sys: BivirusSystem) -> SufficientConditions:
     Requires both viruses supercritical (each boundary equilibrium must
     exist for the comparisons to mean anything).
     """
-    ns = model.normalize_recovery(sys)
-    r1, r2 = model.reproduction_numbers(ns)
-    if r1 <= 1.0 or r2 <= 1.0:
+    ns, (x1bar, x2bar) = _boundary_data(sys)
+    if x1bar is None or x2bar is None:
         raise DomainError("sufficient_conditions needs R1 > 1 and R2 > 1")
 
     def tri(wins2, wins1):
@@ -239,8 +252,6 @@ def sufficient_conditions(sys: BivirusSystem) -> SufficientConditions:
     rs2 = ns.B2.sum(axis=1)
     row_gap = tri(rs2.min() > rs1.max(), rs1.min() > rs2.max())
 
-    x1bar = single_virus_endemic(ns.B1, np.eye(ns.n))
-    x2bar = single_virus_endemic(ns.B2, np.eye(ns.n))
     profile = tri(_dominance(x2bar, x1bar), _dominance(x1bar, x2bar))
 
     return SufficientConditions(entrywise_dominance=entrywise,
@@ -329,10 +340,11 @@ def solve_coexistence_n2(sys: BivirusSystem, band: float = speclin.CLASSIFY_BAND
         if model.residual(ns, s) > 1e-8 * max(1.0, scale):
             log.debug("root rejected: residual check failed")
             continue
-        found.append(_make_equilibrium(sys, s, KIND_COEXISTENCE,
-                                       band, degenerate=degenerate_root))
+        found.append(s)
 
-    return _dedup(found)
+    return [_make_equilibrium(sys, s, KIND_COEXISTENCE, band,
+                              degenerate=degenerate_root)
+            for s in _dedup(found)]
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +354,9 @@ def default_seed_grid(sys: BivirusSystem, levels=None):
     """Seed states (a * x1_bar, b * x2_bar) over a scalar intensity grid,
     respecting the geometry equilibria are expected to have.  Empty when
     either virus is subcritical (no coexistence is possible then)."""
-    ns = model.normalize_recovery(sys)
-    r1, r2 = model.reproduction_numbers(ns)
-    if r1 <= 1.0 or r2 <= 1.0:
+    _, (x1bar, x2bar) = _boundary_data(sys)
+    if x1bar is None or x2bar is None:
         return []
-    x1bar = single_virus_endemic(ns.B1, np.eye(ns.n))
-    x2bar = single_virus_endemic(ns.B2, np.eye(ns.n))
     if levels is None:
         levels = np.linspace(0.1, 0.9, 9)
     seeds = []
@@ -423,26 +432,18 @@ def find_coexistence_newton(sys: BivirusSystem, seeds=None, tol: float = 1e-10,
     if failures:
         log.debug("newton search: %d of %d seeds did not converge",
                   failures, len(seeds))
+    return [_make_equilibrium(sys, s, KIND_COEXISTENCE, band)
+            for s in _dedup(roots)]
 
-    roots.sort(key=lambda s: tuple(s.as_vector()))
+
+def _dedup(states):
+    """States sorted lexicographically, dropping any within DEDUP_RADIUS
+    (infinity norm) of one already kept."""
     out = []
-    for s in roots:
-        if any(np.max(np.abs(s.as_vector() - kept.as_vector())) <= DEDUP_RADIUS
-               for kept in out):
-            continue
-        out.append(s)
-    return [_make_equilibrium(sys, s, KIND_COEXISTENCE, band) for s in out]
-
-
-def _dedup(equilibria):
-    equilibria = sorted(equilibria, key=lambda e: tuple(e.coordinates()))
-    out = []
-    for e in equilibria:
-        if any(np.max(np.abs(e.coordinates() - kept.coordinates())) <= DEDUP_RADIUS
-               for kept in out):
-            continue
-        out.append(e)
-    return out
+    for v in sorted((s.as_vector() for s in states), key=tuple):
+        if all(np.max(np.abs(v - kept)) > DEDUP_RADIUS for kept in out):
+            out.append(v)
+    return [State.from_vector(v) for v in out]
 
 
 # ---------------------------------------------------------------------------
@@ -459,20 +460,17 @@ def enumerate_equilibria(sys: BivirusSystem, band: float = speclin.CLASSIFY_BAND
     signature of the nongeneric line-of-equilibria construction.
     """
     model.validate(sys)
-    ns = model.normalize_recovery(sys)
-    r1, r2 = model.reproduction_numbers(ns)
+    _, (x1bar, x2bar) = _boundary_data(sys)
     n = sys.n
 
     items = [_make_equilibrium(sys, State.zero(n), KIND_HEALTHY, band)]
-    if r1 > 1.0:
-        x1bar = single_virus_endemic(ns.B1, np.eye(n))
+    if x1bar is not None:
         items.append(_make_equilibrium(sys, State(x1bar, np.zeros(n)),
                                        KIND_BOUNDARY_1, band))
-    if r2 > 1.0:
-        x2bar = single_virus_endemic(ns.B2, np.eye(n))
+    if x2bar is not None:
         items.append(_make_equilibrium(sys, State(np.zeros(n), x2bar),
                                        KIND_BOUNDARY_2, band))
-    if r1 > 1.0 and r2 > 1.0:
+    if x1bar is not None and x2bar is not None:
         if n == 2:
             items.extend(solve_coexistence_n2(sys, band))
         else:

@@ -179,19 +179,13 @@ def normalize_recovery(sys: BivirusSystem) -> BivirusSystem:
     return BivirusSystem(sys.B1 / d1[:, None], eye, sys.B2 / d2[:, None], eye)
 
 
-def is_recovery_normalized(sys: BivirusSystem) -> bool:
-    return bool(np.array_equal(sys.D1, np.eye(sys.n))
-                and np.array_equal(sys.D2, np.eye(sys.n)))
-
-
-def reproduction_numbers(sys: BivirusSystem, tol: float = 1e-12):
+def reproduction_numbers(sys: BivirusSystem):
     """(R1, R2) with Ri the Perron root of Di^{-1} Bi.  Virus i alone dies
     out iff Ri <= 1."""
     d1 = np.diag(sys.D1)
     d2 = np.diag(sys.D2)
-    r1 = speclin.spectral_radius(sys.B1 / d1[:, None], tol)
-    r2 = speclin.spectral_radius(sys.B2 / d2[:, None], tol)
-    return r1, r2
+    return (speclin.spectral_radius(sys.B1 / d1[:, None]),
+            speclin.spectral_radius(sys.B2 / d2[:, None]))
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +262,21 @@ def jacobian(sys: BivirusSystem, s: State,
     S = diag(1 - x1 - x2) and Ti = diag(Bi xi).
     """
     require_in_feasible_set(s, tol)
+    n = sys.n
     x1, x2 = s.x1, s.x2
-    shrink = 1.0 - x1 - x2
-    t1 = np.diag(sys.B1 @ x1)
-    t2 = np.diag(sys.B2 @ x2)
-    j11 = -sys.D1 + shrink[:, None] * sys.B1 - t1
-    j22 = -sys.D2 + shrink[:, None] * sys.B2 - t2
-    return np.block([[j11, -t1], [-t2, j22]])
+    shrink = (1.0 - x1 - x2)[:, None]
+    t1 = sys.B1 @ x1
+    t2 = sys.B2 @ x2
+    J = np.zeros((2 * n, 2 * n))
+    j11, j22 = J[:n, :n], J[n:, n:]
+    np.multiply(shrink, sys.B1, out=j11)
+    np.multiply(shrink, sys.B2, out=j22)
+    diag = np.arange(n)
+    j11[diag, diag] = j11[diag, diag] - np.diag(sys.D1) - t1
+    j22[diag, diag] = j22[diag, diag] - np.diag(sys.D2) - t2
+    J[diag, n + diag] = -t1
+    J[n + diag, diag] = -t2
+    return J
 
 
 def transformed_jacobian(sys: BivirusSystem, s: State,

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import model
 from .exceptions import DomainError, IntegrationError
-from .model import BivirusSystem, State
+from .model import BivirusSystem, OrderCone, State
 
 # Dormand-Prince 5(4) embedded pair.
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -267,9 +267,7 @@ def detect_convergence(system_or_field, traj: Trajectory, window: float = None,
 def order_leq(s1: State, s2: State, tol: float = 0.0) -> bool:
     """The order the flow preserves: s1 <= s2 iff s2.x1 >= s1.x1 and
     s2.x2 <= s1.x2 entrywise (virus 1 up, virus 2 down)."""
-    if s1.n != s2.n:
-        raise DomainError("state dimensions differ")
-    return bool((s2.x1 >= s1.x1 - tol).all() and (s2.x2 <= s1.x2 + tol).all())
+    return OrderCone(s1.n).leq(s1, s2, tol)
 
 
 def corner_states(n: int, eta: float):

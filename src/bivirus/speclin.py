@@ -4,14 +4,16 @@ Everything downstream (reproduction numbers, boundary-stability tests,
 Jacobian classification) reduces to three questions about small dense
 matrices: is the adjacency pattern strongly connected, what is the Perron
 root of a nonnegative matrix, and what is the rightmost eigenvalue of a
-Metzler matrix. This module answers them with deterministic power
-iteration (fixed start vector, no randomness) plus a strongly-connected-
-component fallback for reducible inputs.
+Metzler matrix.  This module answers the last two with LAPACK's dense
+eigensolver (`np.linalg.eigvals` / `eig`), taking the eigenvalue with the
+largest real part.  For a Metzler matrix that eigenvalue is real, reducible
+or not, so no strongly-connected-component condensation is needed, and a
+weakly coupled pattern (two nearly equal Perron roots) costs no more than
+any other.  Nothing iterates, so ConvergenceError here only means that a
+computed Perron vector failed its residual (or positivity) check.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import scipy.sparse
@@ -85,104 +87,54 @@ def is_irreducible(A) -> bool:
     return ncomp == 1
 
 
-def strongly_connected_components(A) -> list[np.ndarray]:
-    """Index sets of the strongly connected components of the pattern of A
-    (same edge convention as `is_irreducible`)."""
-    M = as_square_matrix(A)
-    pattern = scipy.sparse.csr_matrix(M != 0)
-    ncomp, labels = csgraph.connected_components(pattern, directed=True,
-                                                 connection="strong")
-    return [np.flatnonzero(labels == k) for k in range(ncomp)]
+def _rightmost_eigenvalue(M):
+    """Eigenvalue of the Metzler matrix M with the largest real part, as a
+    real number (Perron-Frobenius applied to M + cI makes it real)."""
+    return float(np.max(np.linalg.eigvals(M).real))
 
 
-# ---------------------------------------------------------------------------
-# power iteration core
-
-def _iteration_cap(n, tol):
-    return max(200, int(100 * n * math.log(1.0 / tol)))
-
-
-def _power_iteration(A, tol):
-    """Dominant eigenpair of a nonnegative matrix by shifted power iteration.
-
-    Iterates on A + sigma*I (sigma > 0 makes any irreducible nonnegative
-    matrix primitive, so the iteration cannot stall on a periodic pattern);
-    the Perron root of A is recovered through rho(A + sigma*I) = rho(A) +
-    sigma.  Start vector is (1/n)*ones, which is never orthogonal to the
-    Perron direction.  Stops once the Rayleigh-quotient estimate lambda
-    satisfies ||A v - lambda v||_inf <= tol * lambda.
-    """
-    n = A.shape[0]
-    if n == 1:
-        return float(A[0, 0]), np.ones(1)
-    amax = float(A.max())
-    if amax == 0.0:
-        return 0.0, np.full(n, 1.0 / n)
-    sigma = 0.5 * amax
-    As = A + sigma * np.eye(n)
-    v = np.full(n, 1.0 / n)
-    lam = 0.0
-    cap = _iteration_cap(n, tol)
-    for _ in range(cap):
-        w = As @ v
-        theta = float(v @ w) / float(v @ v)
-        lam = theta - sigma
-        resid = float(np.max(np.abs(w - theta * v)))
-        if resid <= tol * max(lam, amax * 1e-15):
-            v = w / np.sum(w)
-            return lam, v
-        v = w / np.sum(w)
-    raise ConvergenceError(
-        f"power iteration did not converge in {cap} iterations",
-        estimate=lam, iterate=v)
-
-
-def spectral_radius(A, tol: float = DEFAULT_TOL) -> float:
-    """Perron root of a nonnegative irreducible matrix, to relative `tol`."""
+def spectral_radius(A) -> float:
+    """Perron root of a nonnegative irreducible matrix."""
     M = require_nonnegative(A)
     if not is_irreducible(M):
         raise DomainError("spectral_radius requires an irreducible matrix")
-    lam, _ = _power_iteration(M, tol)
-    return lam
+    return _rightmost_eigenvalue(M)
 
 
 def perron_vector(A, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Strictly positive right eigenvector of the Perron root, unit 1-norm.
 
-    Satisfies ||A v - rho(A) v||_inf <= tol * rho(A) at return.
+    Satisfies ||A v - rho(A) v||_inf <= tol * rho(A) at return; a vector
+    failing that check, or with an entry that is not positive, raises
+    ConvergenceError.
     """
     M = require_nonnegative(A)
     if not is_irreducible(M):
         raise DomainError("perron_vector requires an irreducible matrix")
-    lam, v = _power_iteration(M, tol)
+    w, V = np.linalg.eig(M)
+    k = int(np.argmax(w.real))
+    lam = float(w[k].real)
+    v = V[:, k].real
     v = v / np.sum(v)
-    if (v <= 0).any():
-        raise ConvergenceError("Perron vector has nonpositive entries "
-                               "(iteration not converged)",
-                               estimate=lam, iterate=v)
+    resid = float(np.max(np.abs(M @ v - lam * v)))
+    if resid > tol * lam or (v <= 0).any():
+        raise ConvergenceError(
+            f"Perron vector check failed: residual {resid:.1e} against "
+            f"{tol * lam:.1e}, smallest entry {float(v.min()):.1e}",
+            estimate=lam, iterate=v)
     return v
 
 
-def spectral_abscissa(M, tol: float = DEFAULT_TOL) -> float:
+def spectral_abscissa(M) -> float:
     """Largest real part among eigenvalues of a Metzler matrix.
 
-    Uses s(M) = rho(M + c I) - c with c = 1 + max |M_ii|, which turns the
-    problem into a nonnegative Perron computation.  Reducible matrices
-    (block-triangular Jacobians at boundary equilibria) are handled by
-    condensing into strongly connected components and taking the maximum
-    over the per-component abscissas.
+    M + cI is nonnegative for c large enough, so by Perron-Frobenius the
+    rightmost eigenvalue of M is real and equal to rho(M + cI) - c.  That
+    holds for reducible M too (block-triangular Jacobians at boundary
+    equilibria), so the dense spectrum needs no condensation into strongly
+    connected components.
     """
-    A = require_metzler(M, "spectral_abscissa input")
-    n = A.shape[0]
-    c = 1.0 + float(np.max(np.abs(np.diag(A)))) if n else 1.0
-    comps = strongly_connected_components(A)
-    best = -math.inf
-    for idx in comps:
-        sub = A[np.ix_(idx, idx)]
-        shifted = sub + c * np.eye(len(idx))
-        lam, _ = _power_iteration(shifted, tol)
-        best = max(best, lam - c)
-    return best
+    return _rightmost_eigenvalue(require_metzler(M, "spectral_abscissa input"))
 
 
 def classify_abscissa(s: float, tol: float = CLASSIFY_BAND) -> str:
@@ -198,4 +150,4 @@ def classify_metzler(M, tol: float = CLASSIFY_BAND) -> str:
     """Stability class of a Metzler matrix, with a +-tol band around zero
     reported as `singular_boundary` (lines of equilibria sit exactly there).
     """
-    return classify_abscissa(spectral_abscissa(M, DEFAULT_TOL), tol)
+    return classify_abscissa(spectral_abscissa(M), tol)

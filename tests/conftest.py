@@ -12,12 +12,27 @@ def case_systems():
 
 def random_spreading_matrix(rng, n, rho_lo=1.3, rho_hi=2.5):
     """Strictly positive (hence irreducible) matrix scaled to a spectral
-    radius drawn from [rho_lo, rho_hi]; scaling uses numpy's eigensolver so
-    the construction stays independent of the library's power iteration."""
+    radius drawn from [rho_lo, rho_hi] with numpy's eigensolver.  Tests that
+    need an oracle independent of any eigensolver build their matrices with
+    a known Perron root instead (see `weak_communities`)."""
     M = rng.uniform(0.1, 1.0, size=(n, n))
     rho = float(np.max(np.abs(np.linalg.eigvals(M))))
     target = rng.uniform(rho_lo, rho_hi)
     return M * (target / rho)
+
+
+def weak_communities(rng, n, eps, R):
+    """Two random communities of h = n // 2 and n - h nodes, each with every
+    row summing to R (so each block's Perron root is exactly R), linked by
+    eps at [0, h] and [h, 0].  Row sums of the whole matrix lie in
+    [R, R + eps], which brackets its Perron root without an eigensolver."""
+    h = n // 2
+    A = np.zeros((n, n))
+    for sl in (slice(0, h), slice(h, n)):
+        M = rng.uniform(0.1, 1.0, size=(sl.stop - sl.start,) * 2)
+        A[sl, sl] = M * (R / M.sum(axis=1))[:, None]
+    A[0, h] = A[h, 0] = eps
+    return A
 
 
 def random_supercritical_system(rng, n):

@@ -7,10 +7,14 @@ from bivirus.exceptions import DomainError
 from bivirus.model import BivirusSystem, State
 
 import oracles
-from conftest import random_supercritical_system, random_spreading_matrix
+from conftest import (random_supercritical_system, random_spreading_matrix,
+                      weak_communities)
 
 B1 = np.array([[1.6, 1.0], [1.0, 1.6]])
 EYE = np.eye(2)
+#: Boundary-test verdict -> the Jacobian class it must agree with.
+VERDICT_CLASS = {"locally_stable": "stable", "unstable": "unstable",
+                 "critical": "singular_boundary"}
 
 
 class TestSingleVirusEndemic:
@@ -64,8 +68,6 @@ class TestBoundaryStability:
 
     def test_consistent_with_jacobian_classification(self):
         # the two stability routes must agree on every case system
-        agree_map = {"locally_stable": "stable", "unstable": "unstable",
-                     "critical": "singular_boundary"}
         for name, cs in CASES.items():
             sys = cs.system()
             verdicts = bv.boundary_stability(sys)
@@ -73,7 +75,22 @@ class TestBoundaryStability:
             for verdict, kind in zip(verdicts,
                                      ("boundary_virus1", "boundary_virus2")):
                 (eq,) = [e for e in enum if e.kind == kind]
-                assert agree_map[verdict.verdict] == eq.spectrum_class, name
+                assert VERDICT_CLASS[verdict.verdict] == eq.spectrum_class, name
+
+    def test_weakly_coupled_communities(self):
+        # two equal-radius communities per virus joined by 1e-5 links: the
+        # leading eigenvalues of every spectral test nearly coincide
+        rng = np.random.default_rng(5)
+        n = 6
+        sys = BivirusSystem(weak_communities(rng, n, 1e-5, 1.8), np.eye(n),
+                            weak_communities(rng, n, 1e-5, 1.6), np.eye(n))
+        enum = bv.enumerate_equilibria(sys)
+        verdicts = bv.boundary_stability(sys)
+        for verdict, kind in zip(verdicts,
+                                 ("boundary_virus1", "boundary_virus2")):
+            (eq,) = enum.of_kind(kind)
+            assert VERDICT_CLASS[verdict.verdict] == eq.spectrum_class
+        assert max(e.residual for e in enum) <= 1e-10
 
 
 class TestSufficientConditions:

@@ -5,6 +5,7 @@ from bivirus import speclin
 from bivirus.exceptions import DomainError
 
 import oracles
+from conftest import weak_communities
 
 B_SYM = np.array([[1.6, 1.0], [1.0, 1.6]])
 
@@ -134,12 +135,45 @@ class TestPerronVector:
         for _ in range(10):
             A = rng.uniform(0.1, 2.0, size=(5, 5))
             v = speclin.perron_vector(A, tol=1e-13)
-            rho = speclin.spectral_radius(A, tol=1e-13)
+            rho = speclin.spectral_radius(A)
             assert np.max(np.abs(A @ v - rho * v)) <= 1e-13 * rho
             lam_o, v_o = oracles.inverse_iteration_perron(A)
             assert rho == pytest.approx(lam_o, rel=1e-9)
             assert np.max(np.abs(v - v_o)) <= 1e-8
             assert (v > 0).all() and v.sum() == pytest.approx(1.0, abs=1e-14)
+
+
+#: (n, eps) pairs on which a shifted power iteration cannot separate the
+#: two near-equal leading eigenvalues within its iteration cap.
+WEAK_COUPLING = [(6, 1e-5), (20, 1e-5), (60, 1e-7)]
+#: Rounding slack on the row-sum bracket, far below every eps above.
+ROUNDING = 1e-13
+
+
+class TestWeakCoupling:
+    @pytest.mark.parametrize("n,eps", WEAK_COUPLING)
+    def test_spectral_radius_bracketed_by_row_sums(self, n, eps):
+        R = 1.8
+        A = weak_communities(np.random.default_rng(n), n, eps, R)
+        rho = speclin.spectral_radius(A)
+        assert R * (1 - ROUNDING) <= rho <= (R + eps) * (1 + ROUNDING)
+
+    @pytest.mark.parametrize("n,eps", WEAK_COUPLING)
+    def test_perron_vector_positive_with_small_residual(self, n, eps):
+        A = weak_communities(np.random.default_rng(n), n, eps, 1.8)
+        tol = speclin.DEFAULT_TOL
+        v = speclin.perron_vector(A, tol=tol)
+        rho = speclin.spectral_radius(A)
+        assert (v > 0).all()
+        assert v.sum() == pytest.approx(1.0, abs=1e-14)
+        assert np.max(np.abs(A @ v - rho * v)) <= tol * rho
+
+    @pytest.mark.parametrize("n,eps", WEAK_COUPLING)
+    def test_spectral_abscissa_bracketed(self, n, eps):
+        R = 1.8
+        A = weak_communities(np.random.default_rng(n), n, eps, R)
+        s = speclin.spectral_abscissa(-np.eye(n) + A)
+        assert R - 1 - ROUNDING * R <= s <= R - 1 + eps + ROUNDING * R
 
 
 class TestClassifyMetzler:
