@@ -270,19 +270,6 @@ def parse_trajectory_csv(text: str):
     return data[:, 0], data[:, 1:], n
 
 
-def _limit_label(final_vec, eq_list, match_tol=1e-3) -> str:
-    best, best_d = None, np.inf
-    counts = {}
-    for e in eq_list:
-        d = float(np.max(np.abs(final_vec - e.state.as_vector())))
-        kind = e.kind
-        counts[kind] = counts.get(kind, 0) + 1
-        label = kind if counts[kind] == 1 else f"{kind}_{counts[kind]}"
-        if d < best_d:
-            best, best_d = label, d
-    return best if best is not None and best_d <= match_tol else "unresolved"
-
-
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     system = system_from_config(cfg, args.config)
@@ -293,6 +280,13 @@ def cmd_simulate(args) -> int:
     tol = float(_setting(args, cfg, "tol", sim.DEFAULT_STOP_TOL))
     record = float(cfg.get("record_interval", 1.0))
     eq_list = equilibria.enumerate_equilibria(system).equilibria
+    # Repeated kinds are told apart by a suffix: kind, kind_2, ...
+    counts = {}
+    eq_labels = []
+    for e in eq_list:
+        counts[e.kind] = counts.get(e.kind, 0) + 1
+        eq_labels.append(e.kind if counts[e.kind] == 1
+                         else f"{e.kind}_{counts[e.kind]}")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -309,8 +303,11 @@ def cmd_simulate(args) -> int:
                              stop_tol=tol)
         (out / name).write_text(trajectory_to_csv(traj, system.n),
                                 encoding="utf-8", newline="\n")
-        label = (_limit_label(traj.final_vector, eq_list)
-                 if traj.outcome.kind == "converged" else traj.outcome.kind)
+        if traj.outcome.kind == "converged":
+            (k,) = sim.nearest_equilibrium(traj.final_vector, eq_list)
+            label = eq_labels[k] if k >= 0 else "unresolved"
+        else:
+            label = traj.outcome.kind
         summary.append(f"{i},{name},{label}")
         written += 1
     (out / "summary.csv").write_text("\n".join(summary) + "\n",

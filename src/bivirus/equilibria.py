@@ -405,15 +405,19 @@ def find_coexistence_newton(sys: BivirusSystem, seeds=None, tol: float = 1e-10,
     positive and every nodewise sum below one, so the all-or-nothing
     zero-pattern of genuine equilibria is respected), deduplicated at
     1e-6 in the infinity norm after a lexicographic sort.  Per-seed
-    failures are logged, not raised.  On a system carrying a line of
-    equilibria the returned points are many and carry
-    spectrum_class == 'singular_boundary'.
+    failures are logged, not raised; a seed with a NaN or infinite entry
+    raises DomainError.  On a system carrying a line of equilibria the
+    returned points are many and carry spectrum_class ==
+    'singular_boundary'.
     """
     ns = model.normalize_recovery(sys)
     if seeds is None:
         seeds = default_seed_grid(sys)
     f = model.field(ns)
 
+    # Damped Newton accepts only steps that strictly lower a finite
+    # residual, so iterates from a finite seed stay finite and the
+    # Jacobian needs no containment check.
     def jac(v):
         return model.jacobian(ns, State.from_vector(v), tol=np.inf)
 
@@ -421,6 +425,8 @@ def find_coexistence_newton(sys: BivirusSystem, seeds=None, tol: float = 1e-10,
     failures = 0
     for seed in seeds:
         v0 = seed.as_vector() if isinstance(seed, State) else np.asarray(seed, float)
+        if not np.isfinite(v0).all():
+            raise DomainError("newton seed has a NaN or infinite entry")
         v, rnorm = _newton_root(f, jac, v0, tol)
         if rnorm > tol:
             failures += 1

@@ -31,9 +31,14 @@ class ConvergenceError(RuntimeError):
 
 
 class IntegrationError(RuntimeError):
-    """The ODE integrator aborted (step underflow or invariant breach)."""
+    """The ODE integrator aborted (step underflow or invariant breach).
 
-    def __init__(self, message, t=None, state=None):
+    `start` is the index of the failing start within its batch, and `t`
+    and `state` are that start's time and state when the run aborted.
+    """
+
+    def __init__(self, message, t=None, state=None, start=None):
         super().__init__(message)
         self.t = t
         self.state = state
+        self.start = start

@@ -229,20 +229,22 @@ def vector_field(sys: BivirusSystem, s: State, tol: float = CONTAINMENT_TOL):
 
 
 def field(sys: BivirusSystem):
-    """Unchecked flat vector field f: R^{2n} -> R^{2n} for solvers and
-    integrators (Newton iterates and RK stages may leave the feasible set
-    slightly; containment is enforced on accepted results instead)."""
+    """Unchecked flat vector field f for solvers and integrators (Newton
+    iterates and RK stages may leave the feasible set slightly;
+    containment is enforced on accepted results instead).  f maps an
+    array of shape (..., 2n) to one of the same shape, one state per row,
+    so a batch of states costs one call."""
     n = sys.n
-    d1 = np.diag(sys.D1)
-    d2 = np.diag(sys.D2)
-    B1, B2 = sys.B1, sys.B2
+    neg_d1 = -np.diag(sys.D1)
+    neg_d2 = -np.diag(sys.D2)
+    B1T, B2T = sys.B1.T, sys.B2.T
 
     def f(v):
-        x1 = v[:n]
-        x2 = v[n:]
+        x1 = v[..., :n]
+        x2 = v[..., n:]
         shrink = 1.0 - x1 - x2
-        return np.concatenate([-d1 * x1 + shrink * (B1 @ x1),
-                               -d2 * x2 + shrink * (B2 @ x2)])
+        return np.concatenate([neg_d1 * x1 + shrink * (x1 @ B1T),
+                               neg_d2 * x2 + shrink * (x2 @ B2T)], axis=-1)
 
     return f
 
@@ -259,9 +261,11 @@ def jacobian(sys: BivirusSystem, s: State,
     """Dense 2n x 2n Jacobian of the dynamics at state s.
 
     Blocks: [[-D1 + S B1 - T1, -T1], [-T2, -D2 + S B2 - T2]] with
-    S = diag(1 - x1 - x2) and Ti = diag(Bi xi).
+    S = diag(1 - x1 - x2) and Ti = diag(Bi xi).  `tol=np.inf` skips the
+    containment check (Newton iterates may leave the feasible set).
     """
-    require_in_feasible_set(s, tol)
+    if tol < np.inf:
+        require_in_feasible_set(s, tol)
     n = sys.n
     x1, x2 = s.x1, s.x2
     shrink = (1.0 - x1 - x2)[:, None]

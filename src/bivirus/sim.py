@@ -6,10 +6,18 @@ interior trajectory for all time.  Integrating just those two corners
 therefore certifies global behaviour: if they reach a common limit, every
 interior initial condition shares it; if they split, an unstable
 equilibrium must sit inside the hyperrectangle spanned by the two limits.
+
+Every run goes through one Dormand-Prince 5(4) stepper that advances a
+batch of starts in lockstep: `integrate` is a batch of one, the sandwich
+corners are a batch of two and `basin_probe` runs its whole grid as one
+batch.  Each start keeps its own error test, containment guard and stop
+rule; sharing the step size means a batched start may end within about
+`rtol` of where a lone run would.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +26,8 @@ from . import model
 from .exceptions import DomainError, IntegrationError
 from .model import BivirusSystem, OrderCone, State
 
-# Dormand-Prince 5(4) embedded pair.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince 5(4) embedded pair (the field is autonomous, so the
+# stage times c_i are not needed).
 _DP_A = [
     np.array([], dtype=float),
     np.array([1 / 5]),
@@ -80,86 +88,167 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # generic adaptive stepper
 
-def _step_dp(f, t, y, h):
-    """One Dormand-Prince attempt: returns (y5, err_vector)."""
-    k = [f(y)]
+def _step_dp(f, y, h):
+    """One Dormand-Prince attempt on every row of y: returns (y5, err)."""
+    k = np.empty((7,) + y.shape)
+    flat = k.reshape(7, -1)
+    k[0] = f(y)
     for i in range(1, 7):
-        yi = y + h * (_DP_A[i] @ np.array(k[:i]))
-        k.append(f(yi))
-    karr = np.array(k)
-    y5 = y + h * (_DP_B5 @ karr)
-    err = h * (_DP_ERR @ karr)
+        k[i] = f(y + h * (_DP_A[i] @ flat[:i]).reshape(y.shape))
+    y5 = y + h * (_DP_B5 @ flat).reshape(y.shape)
+    err = h * (_DP_ERR @ flat).reshape(y.shape)
     return y5, err
 
 
 def _integrate_flat(f, y0, t0, t_end, rtol, atol, record_interval,
                     post_step=None, stop_check=None):
-    """Adaptive RK5(4) on a flat vector field, recording on the uniform
-    grid t0, t0 + record_interval, ...  Steps are shortened to land exactly
-    on record marks, so records carry no interpolation error.
+    """Adaptive RK5(4) on a batch of starts advanced in lockstep.
 
-    post_step may adjust or reject each accepted state (clamping, invariant
-    guards); stop_check is consulted at record marks and ends the run early
-    when it returns True.
+    y0 is an (m, d) array, one start per row, and f maps a (k, d) array of
+    states to their derivatives row by row.  The active rows share one
+    step size: a step is accepted only when every active row passes its
+    own RMS error test, and the next step size comes from the worst row.
+    Records fall on the uniform grid t0, t0 + record_interval, ...; steps
+    are shortened to land exactly on record marks, so records carry no
+    interpolation error.
+
+    post_step(t, y, rows) may adjust or reject the accepted states y of
+    the active rows `rows` (clamping, invariant guards).  stop_check(t,
+    rows, times, records) is consulted at record marks, with the record
+    times and the recorded (m, d) arrays so far, and returns a boolean
+    mask over `rows`; a row it stops is frozen with its own records and
+    leaves the batch.
+
+    Returns one (times, states, stopped) triple per row.
     """
     y = np.array(y0, dtype=float)
-    t = float(t0)
-    times = [t]
-    states = [y.copy()]
+    if y.ndim != 2:
+        raise DomainError("starts must be an (m, d) array, one per row")
     if t_end <= t0:
         raise DomainError("t_end must exceed t0")
+    m, d = y.shape
+    t = float(t0)
+    times = [t]
+    records = [y.copy()]
+    counts = np.zeros(m, dtype=int)
+    rows = np.arange(m)      # the active rows; y holds their states
     span = t_end - t0
     rec = min(record_interval, span)
     next_rec = t0 + rec
     h = min(1e-2, rec)
-    stopped = False
-    while t < t_end - 1e-12 * max(1.0, abs(t_end)):
+    while rows.size and t < t_end - 1e-12 * max(1.0, abs(t_end)):
         h = min(h, t_end - t, next_rec - t)
-        y5, err = _step_dp(f, t, y, h)
+        y5, err = _step_dp(f, y, h)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        enorm = float(np.sqrt(np.mean((err / scale) ** 2)))
-        if enorm <= 1.0:
+        enorm = np.sqrt(((err / scale) ** 2).sum(axis=1) / d)
+        worst = float(enorm.max())
+        stepped = rows
+        if worst <= 1.0:
             t = t + h
             if post_step is not None:
-                y5 = post_step(t, y5)
+                y5 = post_step(t, y5, rows)
             y = y5
             if next_rec - t <= 1e-9 * max(1.0, rec):
+                frame = records[-1].copy()
+                frame[rows] = y
                 times.append(t)
-                states.append(y.copy())
+                records.append(frame)
                 next_rec += rec
-                if stop_check is not None and stop_check(t, y, times, states):
-                    stopped = True
-                    break
-            grow = 0.9 * enorm ** -0.2 if enorm > 0 else 5.0
+                if stop_check is not None:
+                    stop = stop_check(t, rows, times, records)
+                    if stop.any():
+                        counts[rows[stop]] = len(times)
+                        rows, y = rows[~stop], y[~stop]
+            grow = 0.9 * worst ** -0.2 if worst > 0 else 5.0
             h = h * min(5.0, max(0.2, grow))
         else:
-            h = h * min(1.0, max(0.2, 0.9 * enorm ** -0.2))
+            h = h * min(1.0, max(0.2, 0.9 * worst ** -0.2))
         if h < 1e-14 * max(1.0, abs(t)):
-            raise IntegrationError("step size underflow", t=t, state=y)
-    if not stopped and times[-1] < t - 1e-12:
+            k = int(np.argmax(enorm))
+            r = int(stepped[k])
+            state = y[k] if rows is stepped else records[-1][r]
+            raise IntegrationError(f"start {r}: step size underflow", t=t,
+                                   state=state.copy(), start=r)
+    if rows.size and times[-1] < t - 1e-12:
+        frame = records[-1].copy()
+        frame[rows] = y
         times.append(t)
-        states.append(y.copy())
-    return np.array(times), np.array(states), stopped
+        records.append(frame)
+    counts[rows] = len(times)
+    stopped = np.ones(m, dtype=bool)
+    stopped[rows] = False
+    times = np.array(times)
+    records = np.array(records)
+    return [(times[:c], records[:c, i], bool(stopped[i]))
+            for i, c in enumerate(counts)]
 
 
 # ---------------------------------------------------------------------------
 # bivirus integration
 
 def _containment_guard(n, contain_tol):
-    def guard(t, y):
+    def guard(t, y, rows):
         tiny = (y >= -CLAMP_DEPTH) & (y < 0.0)
         if tiny.any():
-            y = y.copy()
-            y[tiny] = 0.0
-        sums = y[:n] + y[n:]
-        if (y.min() < -contain_tol or y.max() > 1.0 + contain_tol
-                or sums.max() > 1.0 + contain_tol):
+            y = np.where(tiny, 0.0, y)
+        sums = y[:, :n] + y[:, n:]
+        cap = 1.0 + contain_tol
+        if y.min() < -contain_tol or y.max() > cap or sums.max() > cap:
+            lo, top = y.min(axis=1), sums.max(axis=1)
+            k = int(np.argmax((lo < -contain_tol) | (y.max(axis=1) > cap)
+                              | (top > cap)))
+            r = int(rows[k])
             raise IntegrationError(
-                "feasible-set invariant violated beyond tolerance "
-                f"(min {y.min():.3e}, max nodewise sum {sums.max():.6f})",
-                t=t, state=y)
+                f"start {r}: feasible-set invariant violated beyond "
+                f"tolerance (min {lo[k]:.3e}, max nodewise sum "
+                f"{top[k]:.6f})", t=t, state=y[k].copy(), start=r)
         return y
     return guard
+
+
+def _stop_rule(f, stop_tol, window):
+    """Per-row early stop: field residual <= stop_tol and no drift beyond
+    10 stop_tol over a trailing window that is at least half populated."""
+    def stop_check(t, rows, times, records):
+        y = records[-1][rows]
+        calm = np.max(np.abs(f(y)), axis=1) <= stop_tol
+        t_floor = t - window
+        first = bisect.bisect_left(times, t_floor)
+        if not calm.any() or times[first] > t_floor + 0.5 * window:
+            return np.zeros(len(rows), dtype=bool)
+        past = np.array(records[first:-1])[:, rows]
+        drift = np.max(np.abs(past - y), axis=(0, 2))
+        return calm & (drift <= 10.0 * stop_tol)
+    return stop_check
+
+
+def _integrate_starts(sys, starts, t_end, *, t0=0.0, rtol, atol,
+                      record_interval, stop_tol,
+                      contain_tol=model.CONTAINMENT_TOL):
+    """One lockstep batch of `integrate` runs, one Trajectory per start."""
+    starts = [State(np.asarray(s.x1, float), np.asarray(s.x2, float))
+              for s in starts]
+    for s in starts:
+        model.require_in_feasible_set(s, contain_tol)
+    n = sys.n
+    f = model.field(sys)
+    stop_check = (None if stop_tol is None else
+                  _stop_rule(f, stop_tol, min(20.0, 0.1 * (t_end - t0))))
+    runs = _integrate_flat(
+        f, np.array([s.as_vector() for s in starts]), t0, t_end, rtol, atol,
+        record_interval, post_step=_containment_guard(n, contain_tol),
+        stop_check=stop_check)
+    residuals = np.max(np.abs(f(np.array([r[1][-1] for r in runs]))), axis=1)
+    trajs = []
+    for (times, states, stopped), res in zip(runs, residuals):
+        traj = Trajectory(times=times, states=states, n=n)
+        if stopped:
+            traj.outcome = Outcome("converged", traj.final_state, float(res))
+        else:
+            traj.outcome = detect_convergence(
+                sys, traj, tol=stop_tol or DEFAULT_STOP_TOL)
+        trajs.append(traj)
+    return trajs
 
 
 def integrate(sys: BivirusSystem, s0: State, t_end: float = DEFAULT_T_END,
@@ -175,44 +264,13 @@ def integrate(sys: BivirusSystem, s0: State, t_end: float = DEFAULT_T_END,
     the run ends early once the field residual stays below it and the
     state has stopped drifting over a trailing window, and the trajectory
     is marked converged.
+
+    This is a lockstep batch of one start, the same stepper that
+    `sandwich_test` and `basin_probe` run on all their starts at once.
     """
-    s0 = State(np.asarray(s0.x1, float), np.asarray(s0.x2, float))
-    model.require_in_feasible_set(s0, contain_tol)
-    n = sys.n
-    f = model.field(sys)
-    guard = _containment_guard(n, contain_tol)
-
-    window = min(20.0, 0.1 * (t_end - t0))
-
-    def stop_check(t, y, times, states):
-        if stop_tol is None:
-            return False
-        if float(np.max(np.abs(f(y)))) > stop_tol:
-            return False
-        t_floor = t - window
-        drift = 0.0
-        earliest = t
-        i = len(times) - 2
-        while i >= 0 and times[i] >= t_floor:
-            drift = max(drift, float(np.max(np.abs(states[i] - y))))
-            earliest = times[i]
-            i -= 1
-        if earliest > t_floor + 0.5 * window:
-            return False  # trailing window not yet populated
-        return drift <= 10.0 * stop_tol
-
-    times, states, stopped = _integrate_flat(
-        f, s0.as_vector(), t0, t_end, rtol, atol, record_interval,
-        post_step=guard, stop_check=stop_check)
-    traj = Trajectory(times=times, states=states, n=n)
-    if stopped:
-        final = traj.final_state
-        traj.outcome = Outcome("converged", final,
-                               float(np.max(np.abs(f(traj.final_vector)))))
-    else:
-        traj.outcome = detect_convergence(sys, traj,
-                                          tol=stop_tol or DEFAULT_STOP_TOL)
-    return traj
+    return _integrate_starts(sys, [s0], t_end, t0=t0, rtol=rtol, atol=atol,
+                             record_interval=record_interval,
+                             stop_tol=stop_tol, contain_tol=contain_tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -321,28 +379,31 @@ def sandwich_test(sys: BivirusSystem, eta: float = DEFAULT_ETA,
                   seed: int = 0) -> SandwichResult:
     """Integrate from the two eta-inset corners and compare limits.
 
-    A corner run that fails to converge is retried once from the corner
+    Both corners run as one lockstep batch of the `integrate` stepper.  A
+    corner run that fails to converge is retried once from the corner
     perturbed by a deterministic jitter of magnitude eta/10 (alternating
-    sign pattern, rotated by `seed`).  If a corner still fails, the result
-    is inconclusive and carries both partial trajectories.
+    sign pattern, rotated by `seed`); the retries form a second batch.  If
+    a corner still fails, the result is inconclusive and carries both
+    partial trajectories.  A start shares its step sizes with the rest of
+    its batch, so its limit may differ from a lone `integrate` run by
+    about `rtol`.
     """
-    sA, sB = corner_states(sys.n, eta)
-    dim = 2 * sys.n
-
-    def run(corner):
-        traj = integrate(sys, corner, t_end, rtol=rtol, atol=atol,
-                         record_interval=record_interval, stop_tol=stop_tol)
-        if traj.outcome.kind == "converged":
-            return traj, False
-        bump = (eta / 10.0) * _jitter_pattern(dim, seed)
-        v = np.clip(corner.as_vector() + bump, 0.0, 1.0)
-        retry = integrate(sys, State.from_vector(v), t_end, rtol=rtol,
-                          atol=atol, record_interval=record_interval,
-                          stop_tol=stop_tol)
-        return (retry, True) if retry.outcome.kind == "converged" else (traj, True)
-
-    traj_A, jit_A = run(sA)
-    traj_B, jit_B = run(sB)
+    corners = corner_states(sys.n, eta)
+    kw = dict(rtol=rtol, atol=atol, record_interval=record_interval,
+              stop_tol=stop_tol)
+    trajs = _integrate_starts(sys, corners, t_end, **kw)
+    failed = [i for i, tr in enumerate(trajs)
+              if tr.outcome.kind != "converged"]
+    if failed:
+        bump = (eta / 10.0) * _jitter_pattern(2 * sys.n, seed)
+        retry_starts = [
+            State.from_vector(np.clip(corners[i].as_vector() + bump, 0.0, 1.0))
+            for i in failed]
+        retries = _integrate_starts(sys, retry_starts, t_end, **kw)
+        for i, retry in zip(failed, retries):
+            if retry.outcome.kind == "converged":
+                trajs[i] = retry
+    traj_A, traj_B = trajs
     ok_A = traj_A.outcome.kind == "converged"
     ok_B = traj_B.outcome.kind == "converged"
     conclusive = ok_A and ok_B
@@ -357,7 +418,7 @@ def sandwich_test(sys: BivirusSystem, eta: float = DEFAULT_ETA,
     return SandwichResult(limit_A=limit_A, limit_B=limit_B, eta=eta,
                           agree=agree, hyperrectangle=rect,
                           conclusive=conclusive, traj_A=traj_A, traj_B=traj_B,
-                          jittered=(jit_A, jit_B))
+                          jittered=(0 in failed, 1 in failed))
 
 
 def hyperrectangle_contains(result: SandwichResult, s: State,
@@ -414,6 +475,21 @@ class ProbeResult:
         return counts
 
 
+def nearest_equilibrium(vectors, equilibria, match_tol: float = 1e-3):
+    """For each state vector (one per row of `vectors`), the index in
+    `equilibria` of the nearest equilibrium in the infinity norm, or
+    LABEL_UNRESOLVED when none lies within `match_tol`.  Ties go to the
+    earlier equilibrium."""
+    v = np.atleast_2d(np.asarray(vectors, dtype=float))
+    if not equilibria:
+        return np.full(len(v), LABEL_UNRESOLVED)
+    targets = np.array([e.state.as_vector() for e in equilibria])
+    dists = np.max(np.abs(v[:, None, :] - targets[None, :, :]), axis=2)
+    k = np.argmin(dists, axis=1)
+    return np.where(dists[np.arange(len(v)), k] <= match_tol, k,
+                    LABEL_UNRESOLVED)
+
+
 def basin_probe(sys: BivirusSystem, equilibria, grid: GridSpec = None, *,
                 t_end: float = DEFAULT_T_END, match_tol: float = 1e-3,
                 rtol: float = 1e-9, atol: float = 1e-12,
@@ -424,10 +500,12 @@ def basin_probe(sys: BivirusSystem, equilibria, grid: GridSpec = None, *,
 
     `equilibria` is the output of enumerate_equilibria (or any list of
     Equilibrium); run the enumeration first so the labels mean something.
+    All feasible, strictly interior starts run as one lockstep batch of the
+    `integrate` stepper; each start keeps its own stop rule, and its limit
+    may differ from a lone `integrate` run by about `rtol`.
     """
     grid = grid or GridSpec()
     eq_list = list(equilibria)
-    targets = [e.state.as_vector() for e in eq_list]
     legend = [e.kind for e in eq_list]
     a_vals, b_vals = grid.axes()
     n = sys.n
@@ -435,25 +513,23 @@ def basin_probe(sys: BivirusSystem, equilibria, grid: GridSpec = None, *,
     p2 = grid.profile2 if grid.profile2 is not None else np.ones(n)
     labels = np.full((len(a_vals), len(b_vals)), LABEL_INVALID, dtype=int)
     finals = np.full((len(a_vals), len(b_vals), 2 * n), np.nan)
+    cells, starts = [], []
     for i, a in enumerate(a_vals):
         for j, b in enumerate(b_vals):
             s0 = State(a * p1, b * p2)
-            if not (model.in_feasible_set(s0, 0.0)
+            if (model.in_feasible_set(s0, 0.0)
                     and model.is_strictly_interior(s0)):
-                continue
-            traj = integrate(sys, s0, t_end, rtol=rtol, atol=atol,
-                             record_interval=record_interval,
-                             stop_tol=stop_tol)
-            finals[i, j] = traj.final_vector
-            if traj.outcome.kind != "converged":
-                labels[i, j] = LABEL_UNRESOLVED
-                continue
-            v = traj.final_vector
-            dists = [float(np.max(np.abs(v - tv))) for tv in targets]
-            k = int(np.argmin(dists)) if dists else -1
-            if k >= 0 and dists[k] <= match_tol:
-                labels[i, j] = k
-            else:
-                labels[i, j] = LABEL_UNRESOLVED
+                cells.append((i, j))
+                starts.append(s0)
+    if starts:
+        trajs = _integrate_starts(sys, starts, t_end, rtol=rtol, atol=atol,
+                                  record_interval=record_interval,
+                                  stop_tol=stop_tol)
+        ends = np.array([traj.final_vector for traj in trajs])
+        nearest = nearest_equilibrium(ends, eq_list, match_tol)
+        for cell, traj, end, k in zip(cells, trajs, ends, nearest):
+            finals[cell] = end
+            labels[cell] = (k if traj.outcome.kind == "converged"
+                            else LABEL_UNRESOLVED)
     return ProbeResult(labels=labels, final_states=finals,
                        a_values=a_vals, b_values=b_vals, legend=legend)

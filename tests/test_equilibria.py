@@ -230,6 +230,15 @@ class TestFindCoexistenceNewton:
             assert eq.residual <= 1e-9
             assert model.is_strictly_interior(eq.state)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_seed_raises(self, bad):
+        # The Newton Jacobian skips its containment check, so the seed
+        # check is what refuses a NaN or infinite start.
+        sys = CASES["case2"].system()
+        seed = np.array([0.3, 0.3, bad, 0.3])
+        with pytest.raises(DomainError):
+            bv.find_coexistence_newton(sys, seeds=[np.full(4, 0.3), seed])
+
 
 class TestEnumerate:
     def test_case4_three_equilibria(self):

@@ -3,9 +3,9 @@ import pytest
 
 import bivirus as bv
 from bivirus import CASES, model, sim
-from bivirus.exceptions import DomainError
+from bivirus.exceptions import DomainError, IntegrationError
 from bivirus.model import BivirusSystem, State
-from bivirus.sim import Trajectory, _integrate_flat
+from bivirus.sim import Trajectory, _integrate_flat, _integrate_starts
 
 from conftest import random_ordered_pair
 
@@ -89,17 +89,17 @@ class TestDetectConvergence:
         assert np.max(np.abs(traj.outcome.state.as_vector() - target)) <= 1e-3
 
     def test_circular_field_suspected_cycle(self):
-        f = lambda y: np.array([-y[1], y[0]])
-        times, states, _ = _integrate_flat(f, np.array([1.0, 0.0]), 0.0, 40.0,
-                                           1e-9, 1e-12, 0.1)
+        f = lambda y: y[..., ::-1] * np.array([-1.0, 1.0])
+        times, states, _ = _integrate_flat(f, np.array([[1.0, 0.0]]), 0.0,
+                                           40.0, 1e-9, 1e-12, 0.1)[0]
         traj = Trajectory(times=times, states=states)
         out = bv.detect_convergence(f, traj, window=15.0, tol=1e-9)
         assert out.kind == "limit_cycle_suspected"
 
     def test_steady_drift_is_budget_exhausted(self):
-        f = lambda y: np.array([0.01, 0.0])
-        times, states, _ = _integrate_flat(f, np.zeros(2), 0.0, 40.0,
-                                           1e-9, 1e-12, 0.5)
+        f = lambda y: np.zeros_like(y) + np.array([0.01, 0.0])
+        times, states, _ = _integrate_flat(f, np.zeros((1, 2)), 0.0, 40.0,
+                                           1e-9, 1e-12, 0.5)[0]
         traj = Trajectory(times=times, states=states)
         out = bv.detect_convergence(f, traj, window=15.0, tol=1e-9)
         assert out.kind == "budget_exhausted"
@@ -232,3 +232,65 @@ class TestBasinProbe:
                 if probe.labels[i, j] >= 0:
                     s = State.from_vector(probe.final_states[i, j])
                     assert bv.hyperrectangle_contains(res, s, slack=1e-6)
+
+
+class TestLockstepBatch:
+    KW = dict(rtol=1e-9, atol=1e-12, record_interval=1.0,
+              stop_tol=sim.DEFAULT_STOP_TOL)
+
+    def test_basin_probe_matches_lone_runs(self):
+        sys = CASES["case2"].system()
+        eqs = bv.enumerate_equilibria(sys).equilibria
+        grid = sim.GridSpec(n_a=8, n_b=8)
+        probe = bv.basin_probe(sys, eqs, grid)
+        a_vals, b_vals = grid.axes()
+        lone_runs = 0
+        for (i, j), label in np.ndenumerate(probe.labels):
+            if label == sim.LABEL_INVALID:
+                continue
+            traj = bv.integrate(sys, State(a_vals[i] * np.ones(2),
+                                           b_vals[j] * np.ones(2)),
+                                record_interval=5.0)
+            assert traj.outcome.kind == "converged"
+            (lone,) = sim.nearest_equilibrium(traj.final_vector, eqs)
+            assert label == lone
+            assert np.max(np.abs(probe.final_states[i, j]
+                                 - traj.final_vector)) <= 1e-8
+            lone_runs += 1
+        assert lone_runs == 36
+
+    def test_rows_stop_on_their_own(self):
+        sys = CASES["case2"].system()
+        at_rest = [e for e in bv.enumerate_equilibria(sys)
+                   if e.kind == "boundary_virus1"][0].state
+        far = State([0.4, 0.3], [0.2, 0.3])
+        rest_run, far_run = _integrate_starts(sys, [at_rest, far], 2000.0,
+                                              **self.KW)
+        lone = bv.integrate(sys, far, 2000.0, **self.KW)
+        assert rest_run.outcome.kind == far_run.outcome.kind == "converged"
+        assert len(rest_run.times) < len(far_run.times)
+        assert len(far_run.times) == len(lone.times)
+        assert lone.outcome.kind == far_run.outcome.kind
+        assert np.max(np.abs(far_run.final_vector
+                             - lone.final_vector)) <= 1e-12
+        assert np.max(np.abs(rest_run.final_vector
+                             - at_rest.as_vector())) <= 1e-12
+
+    def test_containment_error_names_its_start(self):
+        # Negative recovery makes virus 1 grow without bound from any
+        # positive start; row 0 starts at x1 = 0 and stays feasible.
+        sys = BivirusSystem([[0.0]], [-1.0], [[0.0]], [1.0])
+        starts = [State([0.0], [0.1]), State([0.1], [0.1])]
+        with pytest.raises(IntegrationError, match="start 1") as info:
+            _integrate_starts(sys, starts, 50.0, **self.KW)
+        err = info.value
+        assert err.start == 1 and err.t > 0.0
+        assert err.state[0] + err.state[1] > 1.0 + model.CONTAINMENT_TOL
+
+    def test_step_underflow_names_its_start(self):
+        # y' = y^2 blows up at t = 1 from y = 1; the row at 0 stays put.
+        with pytest.raises(IntegrationError, match="start 1") as info:
+            _integrate_flat(lambda y: y * y, np.array([[0.0], [1.0]]), 0.0,
+                            2.0, 1e-9, 1e-12, 0.5)
+        assert info.value.start == 1
+        assert info.value.t < 1.0 and info.value.state[0] > 1e3
