@@ -147,7 +147,8 @@ class AnalysisReport:
 
 
 def build_analysis_report(system: BivirusSystem) -> AnalysisReport:
-    r1, r2 = model.reproduction_numbers(system)
+    system = equilibria._analysed(system)
+    r1, r2 = equilibria._boundary_data(system).R
     enum = equilibria.enumerate_equilibria(system)
     boundary = equilibria.boundary_stability(system)
     sufficient = None

@@ -15,8 +15,10 @@ equilibria.
 
 from __future__ import annotations
 
+import copy
 import logging
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,9 +118,19 @@ class EnumerationResult:
 # classification helper
 
 def classify_state(sys: BivirusSystem, s: State, band: float = speclin.CLASSIFY_BAND):
-    """(spectrum_class, abscissa) of the transformed Jacobian at s."""
+    """(spectrum_class, abscissa) of the transformed Jacobian at s.
+
+    Where a virus block of s is zero (the healthy state, the boundary
+    equilibria) the Jacobian is block-triangular, so its abscissa is the
+    larger of its two n x n diagonal blocks' abscissas.
+    """
     PJP = model.transformed_jacobian(sys, s)
-    s_val = speclin.spectral_abscissa(PJP)
+    if s.x1.any() and s.x2.any():
+        s_val = speclin.spectral_abscissa(PJP)
+    else:
+        n = sys.n
+        s_val = max(speclin.spectral_abscissa(PJP[:n, :n]),
+                    speclin.spectral_abscissa(PJP[n:, n:]))
     return _SPECTRUM_FROM_METZLER[speclin.classify_abscissa(s_val, band)], s_val
 
 
@@ -184,15 +196,36 @@ def _endemic_profile(B, d, tol=1e-12, max_iter=20000):
     return x
 
 
-def _boundary_data(sys: BivirusSystem):
-    """(recovery-normalized system, (x1_bar, x2_bar)), with a profile None
-    when its virus is subcritical (Ri <= 1).  Every analysis below starts
-    from these, computed once per call."""
+class _Boundary(NamedTuple):
+    """What every analysis below starts from."""
+
+    ns: BivirusSystem     # the recovery-normalized system
+    R: tuple              # (R1, R2)
+    bars: tuple           # (x1_bar, x2_bar); None where Ri <= 1
+
+
+def _boundary_data(sys: BivirusSystem) -> _Boundary:
+    """The boundary data of sys, read back from a system `_analysed`
+    returned, computed afresh otherwise."""
+    bd = getattr(sys, "_boundary", None)
+    if bd is not None:
+        return bd
     ns = model.normalize_recovery(sys)
     rs = model.reproduction_numbers(ns)
     ones = np.ones(ns.n)
-    return ns, tuple(_endemic_profile(B, ones) if r > 1.0 else None
-                     for r, B in zip(rs, (ns.B1, ns.B2)))
+    return _Boundary(ns, rs, tuple(_endemic_profile(B, ones) if r > 1.0 else None
+                                   for r, B in zip(rs, (ns.B1, ns.B2))))
+
+
+def _analysed(sys: BivirusSystem) -> BivirusSystem:
+    """A shallow copy of sys carrying its `_boundary_data`, so that the
+    analyses it is handed to compute that data once between them.  A copy,
+    so nothing stays cached on the caller's system after the call."""
+    if getattr(sys, "_boundary", None) is not None:
+        return sys
+    out = copy.copy(sys)
+    object.__setattr__(out, "_boundary", _boundary_data(sys))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +239,7 @@ def boundary_stability(sys: BivirusSystem, band: float = speclin.CLASSIFY_BAND):
     system is recovery-normalized internally (equilibria and their
     stability are unchanged by that).
     """
-    ns, bars = _boundary_data(sys)
+    ns, _, bars = _boundary_data(sys)
     verdicts = []
     for xbar, B_other in zip(bars, (ns.B2, ns.B1)):
         if xbar is None:
@@ -235,7 +268,7 @@ def sufficient_conditions(sys: BivirusSystem) -> SufficientConditions:
     Requires both viruses supercritical (each boundary equilibrium must
     exist for the comparisons to mean anything).
     """
-    ns, (x1bar, x2bar) = _boundary_data(sys)
+    ns, _, (x1bar, x2bar) = _boundary_data(sys)
     if x1bar is None or x2bar is None:
         raise DomainError("sufficient_conditions needs R1 > 1 and R2 > 1")
 
@@ -354,7 +387,7 @@ def default_seed_grid(sys: BivirusSystem, levels=None):
     """Seed states (a * x1_bar, b * x2_bar) over a scalar intensity grid,
     respecting the geometry equilibria are expected to have.  Empty when
     either virus is subcritical (no coexistence is possible then)."""
-    _, (x1bar, x2bar) = _boundary_data(sys)
+    x1bar, x2bar = _boundary_data(sys).bars
     if x1bar is None or x2bar is None:
         return []
     if levels is None:
@@ -368,14 +401,68 @@ def default_seed_grid(sys: BivirusSystem, levels=None):
     return seeds
 
 
-def _newton_root(f, jac, v0, tol, max_iter=80):
-    """Damped Newton iteration; returns the final iterate and residual."""
+def _ball_radius(J, lipschitz):
+    """Radius of the ball around a root with Jacobian J from which Newton
+    provably converges to that root: 1 / (2 beta L) with beta the infinity
+    norm of J^-1 and L the Lipschitz constant of the Jacobian (Dennis &
+    Schnabel, Numerical Methods for Unconstrained Optimization and
+    Nonlinear Equations, Thm 5.2.1).  0 when J is singular."""
+    try:
+        beta = np.linalg.norm(np.linalg.inv(J), np.inf)
+    except np.linalg.LinAlgError:
+        return 0.0
+    if not np.isfinite(beta):
+        return 0.0
+    return 1.0 / (2.0 * beta * lipschitz)
+
+
+class _KnownRoots:
+    """Roots of the field of the normalized system ns found so far, each
+    with the radius of its certified Newton convergence ball.  Newton from
+    inside a ball can only end at that ball's root, so an iterate there
+    needs no further steps.  Starts with the healthy state and each
+    boundary equilibrium whose profile in `bars` exists."""
+
+    def __init__(self, ns, bars, jac):
+        self._jac = jac
+        # f is quadratic, so J is affine in the state: row i of
+        # J(v) - J(w) has infinity norm at most 4 (row sum i of B1 or B2)
+        # ||v - w||_inf, hence this infinity-norm Lipschitz constant.
+        self._lipschitz = 4.0 * max(ns.B1.sum(axis=1).max(),
+                                    ns.B2.sum(axis=1).max())
+        self.centres = []
+        self.radii = []
+        x1bar, x2bar = bars
+        zero = np.zeros(ns.n)
+        self.add(np.zeros(2 * ns.n))
+        if x1bar is not None:
+            self.add(np.concatenate([x1bar, zero]))
+        if x2bar is not None:
+            self.add(np.concatenate([zero, x2bar]))
+
+    def add(self, v):
+        if any(np.max(np.abs(v - c)) <= DEDUP_RADIUS for c in self.centres):
+            return
+        self.centres.append(v)
+        self.radii.append(_ball_radius(self._jac(v), self._lipschitz))
+
+    def contains(self, v) -> bool:
+        return any(np.max(np.abs(v - c)) < r
+                   for c, r in zip(self.centres, self.radii))
+
+
+def _newton_root(f, jac, v0, tol, known=None, max_iter=80):
+    """Damped Newton iteration.  Returns the final iterate, its residual
+    and whether it stopped inside a ball of `known` (a _KnownRoots), which
+    is checked before every step."""
     v = v0.copy()
     r = f(v)
     rnorm = np.max(np.abs(r))
     for _ in range(max_iter):
+        if known is not None and known.contains(v):
+            return v, rnorm, True
         if rnorm <= tol:
-            return v, rnorm
+            return v, rnorm, False
         J = jac(v)
         try:
             step = np.linalg.solve(J, -r)
@@ -393,8 +480,8 @@ def _newton_root(f, jac, v0, tol, max_iter=80):
                 break
             lam *= 0.5
         else:
-            return v, rnorm  # stagnated
-    return v, rnorm
+            return v, rnorm, False  # stagnated
+    return v, rnorm, False
 
 
 def find_coexistence_newton(sys: BivirusSystem, seeds=None, tol: float = 1e-10,
@@ -404,13 +491,19 @@ def find_coexistence_newton(sys: BivirusSystem, seeds=None, tol: float = 1e-10,
     Converged roots are kept only when strictly interior (every entry
     positive and every nodewise sum below one, so the all-or-nothing
     zero-pattern of genuine equilibria is respected), deduplicated at
-    1e-6 in the infinity norm after a lexicographic sort.  Per-seed
-    failures are logged, not raised; a seed with a NaN or infinite entry
-    raises DomainError.  On a system carrying a line of equilibria the
+    1e-6 in the infinity norm after a lexicographic sort.  A seed whose
+    iterate enters the certified convergence ball of a root already known
+    (the healthy state, a boundary equilibrium, or a root an earlier seed
+    reached) is retired there: it could only end at that root, a duplicate
+    or not interior.  Per-seed failures are logged, not raised; a seed
+    with a NaN or infinite entry raises DomainError.  On a system carrying
+    a line of equilibria the points of the line have singular Jacobians,
+    hence balls of radius 0 or next to it, so no seed retires there; the
     returned points are many and carry spectrum_class ==
     'singular_boundary'.
     """
-    ns = model.normalize_recovery(sys)
+    sys = _analysed(sys)
+    ns, _, bars = _boundary_data(sys)
     if seeds is None:
         seeds = default_seed_grid(sys)
     f = model.field(ns)
@@ -421,23 +514,27 @@ def find_coexistence_newton(sys: BivirusSystem, seeds=None, tol: float = 1e-10,
     def jac(v):
         return model.jacobian(ns, State.from_vector(v), tol=np.inf)
 
+    known = _KnownRoots(ns, bars, jac)
     roots = []
-    failures = 0
+    failures = retired = 0
     for seed in seeds:
         v0 = seed.as_vector() if isinstance(seed, State) else np.asarray(seed, float)
         if not np.isfinite(v0).all():
             raise DomainError("newton seed has a NaN or infinite entry")
-        v, rnorm = _newton_root(f, jac, v0, tol)
+        v, rnorm, in_ball = _newton_root(f, jac, v0, tol, known)
+        if in_ball:
+            retired += 1
+            continue
         if rnorm > tol:
             failures += 1
             continue
+        known.add(v)
         s = State.from_vector(v)
-        if not model.is_strictly_interior(s, INTERIOR_FLOOR):
-            continue
-        roots.append(s)
-    if failures:
-        log.debug("newton search: %d of %d seeds did not converge",
-                  failures, len(seeds))
+        if model.is_strictly_interior(s, INTERIOR_FLOOR):
+            roots.append(s)
+    log.debug("newton search: %d seeds converged, %d retired, %d failed; "
+              "ball radii %.3g to %.3g", len(seeds) - retired - failures,
+              retired, failures, min(known.radii), max(known.radii))
     return [_make_equilibrium(sys, s, KIND_COEXISTENCE, band)
             for s in _dedup(roots)]
 
@@ -466,7 +563,8 @@ def enumerate_equilibria(sys: BivirusSystem, band: float = speclin.CLASSIFY_BAND
     signature of the nongeneric line-of-equilibria construction.
     """
     model.validate(sys)
-    _, (x1bar, x2bar) = _boundary_data(sys)
+    sys = _analysed(sys)
+    x1bar, x2bar = _boundary_data(sys).bars
     n = sys.n
 
     items = [_make_equilibrium(sys, State.zero(n), KIND_HEALTHY, band)]

@@ -240,6 +240,130 @@ class TestFindCoexistenceNewton:
             bv.find_coexistence_newton(sys, seeds=[np.full(4, 0.3), seed])
 
 
+#: A two-node system with two coexistence equilibria, one stable and one
+#: unstable (found by a seeded search over entries from U(0.05, 3)).
+TWO_ROOT_B1 = np.array([[2.01, 2.2], [0.75, 1.83]])
+TWO_ROOT_B2 = np.array([[2.49, 0.24], [1.92, 2.53]])
+#: Lifts a 2-node matrix to 4 nodes; node i of the 2-node system becomes
+#: nodes 2i and 2i + 1, and every 2-node equilibrium lifts to one.
+LIFT = np.full((2, 2), 0.5)
+
+
+def _two_root_system(lifted=False):
+    B1, B2 = TWO_ROOT_B1, TWO_ROOT_B2
+    if lifted:
+        B1, B2 = np.kron(B1, LIFT), np.kron(B2, LIFT)
+    eye = np.eye(B1.shape[0])
+    return BivirusSystem(B1, eye, B2, eye)
+
+
+def _index_sum(sys, coexistence):
+    """Sum over coexistence points of sign det(-J)."""
+    ns = model.normalize_recovery(sys)
+    return sum(np.sign(np.linalg.det(-model.jacobian(ns, e.state)))
+               for e in coexistence)
+
+
+class TestSeveralCoexistenceRoots:
+    def test_two_node_roots(self):
+        roots = bv.solve_coexistence_n2(_two_root_system())
+        assert sorted(e.spectrum_class for e in roots) == ["stable", "unstable"]
+
+    def test_lifted_newton_finds_both_roots(self):
+        analytic = bv.solve_coexistence_n2(_two_root_system())
+        found = bv.find_coexistence_newton(_two_root_system(lifted=True))
+        assert len(found) == 2
+        for e in analytic:
+            lifted = np.repeat(e.coordinates().reshape(2, 2), 2, axis=1).ravel()
+            (match,) = [f for f in found
+                        if np.max(np.abs(f.coordinates() - lifted)) <= 1e-8]
+            assert match.spectrum_class == e.spectrum_class
+
+    @pytest.mark.parametrize("lifted", [False, True])
+    def test_index_identity(self, lifted):
+        # Poincare-Hopf: sum of sign det(-J) over the coexistence points is
+        # -(i1 + i2) / 2, with i = +1 for a stable boundary equilibrium and
+        # -1 for an unstable one
+        sys = _two_root_system(lifted)
+        enum = bv.enumerate_equilibria(sys)
+        coex = enum.of_kind("coexistence")
+        assert len(coex) == 2
+        iota = [1 if v.verdict == "locally_stable" else -1
+                for v in bv.boundary_stability(sys)]
+        assert _index_sum(sys, coex) == -(iota[0] + iota[1]) / 2
+
+
+def _newton_roots(sys, retire):
+    """The deduplicated interior roots that `_newton_root` reaches from the
+    default seeds, retiring seeds in the balls of known roots or not."""
+    ns, _, bars = equilibria._boundary_data(sys)
+    f = model.field(ns)
+
+    def jac(v):
+        return model.jacobian(ns, State.from_vector(v), tol=np.inf)
+
+    known = equilibria._KnownRoots(ns, bars, jac) if retire else None
+    roots = []
+    for seed in equilibria.default_seed_grid(sys):
+        v, rnorm, in_ball = equilibria._newton_root(f, jac, seed.as_vector(),
+                                                    1e-10, known)
+        if in_ball or rnorm > 1e-10:
+            continue
+        if known is not None:
+            known.add(v)
+        s = State.from_vector(v)
+        if model.is_strictly_interior(s, equilibria.INTERIOR_FLOOR):
+            roots.append(s)
+    return [s.as_vector() for s in equilibria._dedup(roots)]
+
+
+def _retirement_systems():
+    rng = np.random.default_rng(77)
+    yield _two_root_system(lifted=True)
+    yield CASES["case1"].system()
+    yield bv.construct_equilibrium_line(random_spreading_matrix(rng, 3))[0]
+    for n in (3, 4, 5, 6):
+        yield random_supercritical_system(rng, n)
+
+
+class TestNewtonRetirement:
+    def test_retirement_changes_no_answer(self):
+        for sys in _retirement_systems():
+            with_balls = _newton_roots(sys, retire=True)
+            without = _newton_roots(sys, retire=False)
+            assert len(with_balls) == len(without)
+            for a, b in zip(with_balls, without):
+                assert np.max(np.abs(a - b)) <= 1e-8
+
+    @pytest.mark.parametrize("J", [np.zeros((4, 4)),
+                                   np.array([[1.0, 2.0], [2.0, 4.0]])])
+    def test_singular_jacobian_radius_zero(self, J):
+        assert equilibria._ball_radius(J, 1.0) == 0.0
+
+    def test_seed_in_ball_retires_without_a_step(self):
+        sys = _two_root_system(lifted=True)
+        ns, _, bars = equilibria._boundary_data(sys)
+        f = model.field(ns)
+        steps = []
+
+        def jac(v):
+            steps.append(v)
+            return model.jacobian(ns, State.from_vector(v), tol=np.inf)
+
+        known = equilibria._KnownRoots(ns, bars, jac)
+        e, r = known.centres[2], known.radii[2]   # (0, x2_bar)
+        assert r > 0
+        seed = e + 0.9 * r * np.linspace(-1.0, 1.0, e.size)
+        steps.clear()
+        v, _, in_ball = equilibria._newton_root(f, jac, seed, 1e-10, known)
+        assert in_ball and not steps
+        assert np.array_equal(v, seed)
+        # and Newton from there does end at e
+        v, rnorm, in_ball = equilibria._newton_root(f, jac, seed, 1e-10)
+        assert not in_ball and rnorm <= 1e-10
+        assert np.max(np.abs(v - e)) <= 1e-9
+
+
 class TestEnumerate:
     def test_case4_three_equilibria(self):
         enum = bv.enumerate_equilibria(CASES["case4"].system())
