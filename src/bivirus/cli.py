@@ -405,7 +405,7 @@ def _grade_flag(label, computed, expected):
 
 def run_case(case: case_lib.CaseStudy, t_end: float = sim.DEFAULT_T_END):
     """Grade one bundled case study.  Returns (all_ok, report_lines, doc)."""
-    system = case.system()
+    system = equilibria._analysed(case.system())
     lines = [f"{case.name}: B2 = {np.array2string(case.B2, separator=', ')}"]
     ok_all = True
     enum = equilibria.enumerate_equilibria(system)
@@ -481,7 +481,7 @@ def run_case(case: case_lib.CaseStudy, t_end: float = sim.DEFAULT_T_END):
             ok_all &= ok
             lines.append(line)
     else:  # a line of equilibria: both limits must land on the segment
-        ns = model.normalize_recovery(system)
+        ns = equilibria._boundary_data(system).ns
         for tag, limit in (("A", res.limit_A), ("B", res.limit_B)):
             if limit is None:
                 ok, line = False, f"  [FAIL] corner {tag} did not converge"
@@ -497,7 +497,7 @@ def run_case(case: case_lib.CaseStudy, t_end: float = sim.DEFAULT_T_END):
         "case": case.name,
         "ok": ok_all,
         "equilibria": analysis_to_dict(
-            AnalysisReport(system.n, model.reproduction_numbers(system),
+            AnalysisReport(system.n, equilibria._boundary_data(system).R,
                            enum, verdicts, None))["equilibria"],
         "sandwich": sandwich_to_dict(res),
     }

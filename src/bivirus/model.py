@@ -214,18 +214,12 @@ def is_strictly_interior(s: State, margin: float = 0.0) -> bool:
 # ---------------------------------------------------------------------------
 # dynamics
 
-def _field_parts(sys, x1, x2):
-    shrink = 1.0 - x1 - x2
-    dx1 = -np.diag(sys.D1) * x1 + shrink * (sys.B1 @ x1)
-    dx2 = -np.diag(sys.D2) * x2 + shrink * (sys.B2 @ x2)
-    return dx1, dx2
-
-
 def vector_field(sys: BivirusSystem, s: State, tol: float = CONTAINMENT_TOL):
     """(dx1/dt, dx2/dt) at state s.  Exact formula, no clamping; states
     outside the feasible set beyond `tol` are rejected."""
     require_in_feasible_set(s, tol)
-    return _field_parts(sys, s.x1, s.x2)
+    out = field(sys)(s.as_vector())
+    return out[:sys.n], out[sys.n:]
 
 
 def field(sys: BivirusSystem):
@@ -235,16 +229,20 @@ def field(sys: BivirusSystem):
     array of shape (..., 2n) to one of the same shape, one state per row,
     so a batch of states costs one call."""
     n = sys.n
-    neg_d1 = -np.diag(sys.D1)
-    neg_d2 = -np.diag(sys.D2)
-    B1T, B2T = sys.B1.T, sys.B2.T
+    neg_d = -np.concatenate([np.diag(sys.D1), np.diag(sys.D2)])
+    # v @ BT is (B1 x1, B2 x2) in one product
+    BT = np.zeros((2 * n, 2 * n))
+    BT[:n, :n] = sys.B1.T
+    BT[n:, n:] = sys.B2.T
 
     def f(v):
-        x1 = v[..., :n]
-        x2 = v[..., n:]
-        shrink = 1.0 - x1 - x2
-        return np.concatenate([neg_d1 * x1 + shrink * (x1 @ B1T),
-                               neg_d2 * x2 + shrink * (x2 @ B2T)], axis=-1)
+        out = v @ BT
+        shrink = 1.0 - v[..., :n]
+        shrink -= v[..., n:]
+        blocks = out.reshape(out.shape[:-1] + (2, n))   # a view of out
+        blocks *= shrink[..., None, :]
+        out += neg_d * v
+        return out
 
     return f
 
@@ -252,8 +250,7 @@ def field(sys: BivirusSystem):
 def residual(sys: BivirusSystem, s: State) -> float:
     """Infinity norm of the vector field; the uniform equilibrium-residual
     convention used throughout the package."""
-    dx1, dx2 = _field_parts(sys, s.x1, s.x2)
-    return float(max(np.max(np.abs(dx1)), np.max(np.abs(dx2))))
+    return float(np.max(np.abs(field(sys)(s.as_vector()))))
 
 
 def jacobian(sys: BivirusSystem, s: State,

@@ -13,11 +13,18 @@ corners are a batch of two and `basin_probe` runs its whole grid as one
 batch.  Each start keeps its own error test, containment guard and stop
 rule; sharing the step size means a batched start may end within about
 `rtol` of where a lone run would.
+
+`basin_probe` alone also retires a start early once it enters a certified
+ball of attraction around a stable equilibrium (from the logarithmic norm
+of the Metzler transformed Jacobian); such a start reports that
+equilibrium as its limit.  `integrate` returns whole trajectories and
+`sandwich_test` runs to its stop rule, so neither retires.
 """
 
 from __future__ import annotations
 
 import bisect
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +33,11 @@ from . import model
 from .exceptions import DomainError, IntegrationError
 from .model import BivirusSystem, OrderCone, State
 
+log = logging.getLogger(__name__)
+
 # Dormand-Prince 5(4) embedded pair (the field is autonomous, so the
-# stage times c_i are not needed).
+# stage times c_i are not needed).  The last stage point is the 5th-order
+# solution itself, so its slope starts the next step (FSAL).
 _DP_A = [
     np.array([], dtype=float),
     np.array([1 / 5]),
@@ -37,8 +47,6 @@ _DP_A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
-                   11 / 84, 0.0])
 _DP_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
                     22 / 525, -1 / 40])
 
@@ -88,16 +96,17 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # generic adaptive stepper
 
-def _step_dp(f, y, h):
-    """One Dormand-Prince attempt on every row of y: returns (y5, err)."""
+def _step_dp(f, y, h, fy):
+    """One Dormand-Prince attempt on every row of y, given fy = f(y):
+    returns (y5, err, f(y5))."""
     k = np.empty((7,) + y.shape)
     flat = k.reshape(7, -1)
-    k[0] = f(y)
+    k[0] = fy
     for i in range(1, 7):
-        k[i] = f(y + h * (_DP_A[i] @ flat[:i]).reshape(y.shape))
-    y5 = y + h * (_DP_B5 @ flat).reshape(y.shape)
+        yi = y + h * (_DP_A[i] @ flat[:i]).reshape(y.shape)
+        k[i] = f(yi)
     err = h * (_DP_ERR @ flat).reshape(y.shape)
-    return y5, err
+    return yi, err, k[6]
 
 
 def _integrate_flat(f, y0, t0, t_end, rtol, atol, record_interval,
@@ -110,14 +119,17 @@ def _integrate_flat(f, y0, t0, t_end, rtol, atol, record_interval,
     own RMS error test, and the next step size comes from the worst row.
     Records fall on the uniform grid t0, t0 + record_interval, ...; steps
     are shortened to land exactly on record marks, so records carry no
-    interpolation error.
+    interpolation error.  The slope at the last stage of an accepted step
+    is reused as the first stage of the next one, so a step costs six
+    field evaluations.
 
     post_step(t, y, rows) may adjust or reject the accepted states y of
-    the active rows `rows` (clamping, invariant guards).  stop_check(t,
-    rows, times, records) is consulted at record marks, with the record
-    times and the recorded (m, d) arrays so far, and returns a boolean
-    mask over `rows`; a row it stops is frozen with its own records and
-    leaves the batch.
+    the active rows `rows` (clamping, invariant guards); it returns y
+    itself when it changes nothing and a new array otherwise, never
+    writing into y.  stop_check(t, rows, times, records) is consulted at
+    record marks, with the record times and the recorded (m, d) arrays so
+    far, and returns a boolean mask over `rows`; a row it stops is frozen
+    with its own records and leaves the batch.
 
     Returns one (times, states, stopped) triple per row.
     """
@@ -132,13 +144,14 @@ def _integrate_flat(f, y0, t0, t_end, rtol, atol, record_interval,
     records = [y.copy()]
     counts = np.zeros(m, dtype=int)
     rows = np.arange(m)      # the active rows; y holds their states
+    fy = f(y)                # and fy their slopes
     span = t_end - t0
     rec = min(record_interval, span)
     next_rec = t0 + rec
     h = min(1e-2, rec)
     while rows.size and t < t_end - 1e-12 * max(1.0, abs(t_end)):
         h = min(h, t_end - t, next_rec - t)
-        y5, err = _step_dp(f, y, h)
+        y5, err, f5 = _step_dp(f, y, h, fy)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
         enorm = np.sqrt(((err / scale) ** 2).sum(axis=1) / d)
         worst = float(enorm.max())
@@ -146,8 +159,12 @@ def _integrate_flat(f, y0, t0, t_end, rtol, atol, record_interval,
         if worst <= 1.0:
             t = t + h
             if post_step is not None:
-                y5 = post_step(t, y5, rows)
-            y = y5
+                guarded = post_step(t, y5, rows)
+                if guarded is not y5:
+                    moved = (guarded != y5).any(axis=1)
+                    f5[moved] = f(guarded[moved])
+                    y5 = guarded
+            y, fy = y5, f5
             if next_rec - t <= 1e-9 * max(1.0, rec):
                 frame = records[-1].copy()
                 frame[rows] = y
@@ -158,7 +175,7 @@ def _integrate_flat(f, y0, t0, t_end, rtol, atol, record_interval,
                     stop = stop_check(t, rows, times, records)
                     if stop.any():
                         counts[rows[stop]] = len(times)
-                        rows, y = rows[~stop], y[~stop]
+                        rows, y, fy = rows[~stop], y[~stop], fy[~stop]
             grow = 0.9 * worst ** -0.2 if worst > 0 else 5.0
             h = h * min(5.0, max(0.2, grow))
         else:
@@ -206,26 +223,31 @@ def _containment_guard(n, contain_tol):
     return guard
 
 
-def _stop_rule(f, stop_tol, window):
+def _stop_rule(f, stop_tol, window, retire=None):
     """Per-row early stop: field residual <= stop_tol and no drift beyond
-    10 stop_tol over a trailing window that is at least half populated."""
+    10 stop_tol over a trailing window that is at least half populated.
+    `retire`, when given, maps the current (k, d) states to a boolean mask
+    of rows to stop at once."""
     def stop_check(t, rows, times, records):
         y = records[-1][rows]
+        done = (np.zeros(len(rows), dtype=bool) if retire is None
+                else retire(y))
         calm = np.max(np.abs(f(y)), axis=1) <= stop_tol
         t_floor = t - window
         first = bisect.bisect_left(times, t_floor)
         if not calm.any() or times[first] > t_floor + 0.5 * window:
-            return np.zeros(len(rows), dtype=bool)
+            return done
         past = np.array(records[first:-1])[:, rows]
         drift = np.max(np.abs(past - y), axis=(0, 2))
-        return calm & (drift <= 10.0 * stop_tol)
+        return done | (calm & (drift <= 10.0 * stop_tol))
     return stop_check
 
 
 def _integrate_starts(sys, starts, t_end, *, t0=0.0, rtol, atol,
                       record_interval, stop_tol,
-                      contain_tol=model.CONTAINMENT_TOL):
-    """One lockstep batch of `integrate` runs, one Trajectory per start."""
+                      contain_tol=model.CONTAINMENT_TOL, retire=None):
+    """One lockstep batch of `integrate` runs, one Trajectory per start.
+    A row that `retire` (see `_stop_rule`) stops is marked converged."""
     starts = [State(np.asarray(s.x1, float), np.asarray(s.x2, float))
               for s in starts]
     for s in starts:
@@ -233,7 +255,8 @@ def _integrate_starts(sys, starts, t_end, *, t0=0.0, rtol, atol,
     n = sys.n
     f = model.field(sys)
     stop_check = (None if stop_tol is None else
-                  _stop_rule(f, stop_tol, min(20.0, 0.1 * (t_end - t0))))
+                  _stop_rule(f, stop_tol, min(20.0, 0.1 * (t_end - t0)),
+                             retire))
     runs = _integrate_flat(
         f, np.array([s.as_vector() for s in starts]), t0, t_end, rtol, atol,
         record_interval, post_step=_containment_guard(n, contain_tol),
@@ -462,6 +485,11 @@ LABEL_INVALID = -2
 
 @dataclass
 class ProbeResult:
+    """Basin labels over a grid of starts.  `final_states` holds each
+    start's last integrated state, or the equilibrium itself for a start
+    retired inside that equilibrium's certified ball of attraction; NaN
+    where the start is invalid."""
+
     labels: np.ndarray        # (n_a, n_b) ints: index into `legend`, or negative
     final_states: np.ndarray  # (n_a, n_b, 2n), NaN where invalid
     a_values: np.ndarray
@@ -490,6 +518,71 @@ def nearest_equilibrium(vectors, equilibria, match_tol: float = 1e-3):
                     LABEL_UNRESOLVED)
 
 
+def _attraction_ball(sys, e, stop_tol):
+    """(v, radius) of a certified ball of attraction around the equilibrium
+    e, or None when e gets none.
+
+    With M = P J(e) P the Metzler transformed Jacobian and v = (-M)^-1 1,
+    v > 0 certifies M Hurwitz, and mu = max_i (Mv)_i / v_i < 0 is the
+    logarithmic norm of M in the weighted norm ||z||_v = max_i |z_i| / v_i
+    (Soderlind, BIT 46, 2006).  The field's remainder beyond its
+    linearization at e is -(d1 + d2) o (Bk dk) for the offsets d = y - e,
+    at most c ||d||_v^2 in that norm, with c = max_i (v1_i + v2_i)
+    max((B1 v1)_i / v1_i, (B2 v2)_i / v2_i).  So ||y - e||_v shrinks along
+    the exact flow from every y with ||y - e||_v < -mu / c, the radius,
+    and y converges to e.  Only stable entries whose residual on sys is
+    at most stop_tol get a ball.
+    """
+    if (e.spectrum_class != "stable"
+            or model.residual(sys, e.state) > stop_tol):
+        return None
+    n = sys.n
+    M = model.transformed_jacobian(sys, e.state)
+    try:
+        v = np.linalg.solve(-M, np.ones(2 * n))
+    except np.linalg.LinAlgError:
+        return None
+    if not (v > 0.0).all():
+        return None
+    mu = float(np.max(M @ v / v))
+    if not mu < 0.0:
+        return None
+    v1, v2 = v[:n], v[n:]
+    c = float(np.max((v1 + v2) * np.maximum(sys.B1 @ v1 / v1,
+                                            sys.B2 @ v2 / v2)))
+    return v, (-mu / c if c > 0.0 else np.inf)
+
+
+class _AttractionBalls:
+    """The certified balls of attraction (`_attraction_ball`) around the
+    entries of `equilibria`.  A state within half a ball's radius of its
+    centre is certified to converge to that centre; the other half of the
+    radius absorbs the integrator's error."""
+
+    def __init__(self, sys, equilibria, stop_tol):
+        centres, inv_v, radii = [], [], []
+        for e in equilibria:
+            ball = _attraction_ball(sys, e, stop_tol)
+            if ball is not None:
+                centres.append(e.state.as_vector())
+                inv_v.append(1.0 / ball[0])
+                radii.append(ball[1])
+        d = 2 * sys.n
+        self.centres = np.array(centres).reshape(-1, d)
+        self.inv_v = np.array(inv_v).reshape(-1, d)
+        self.radii = np.array(radii)
+
+    def locate(self, y):
+        """For each row of y, the index of the first ball holding it within
+        half its radius, or -1."""
+        if not len(self.radii):
+            return np.full(len(y), -1)
+        dist = np.max(np.abs(y[:, None, :] - self.centres) * self.inv_v,
+                      axis=2)
+        inside = dist < 0.5 * self.radii
+        return np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
+
+
 def basin_probe(sys: BivirusSystem, equilibria, grid: GridSpec = None, *,
                 t_end: float = DEFAULT_T_END, match_tol: float = 1e-3,
                 rtol: float = 1e-9, atol: float = 1e-12,
@@ -502,7 +595,11 @@ def basin_probe(sys: BivirusSystem, equilibria, grid: GridSpec = None, *,
     Equilibrium); run the enumeration first so the labels mean something.
     All feasible, strictly interior starts run as one lockstep batch of the
     `integrate` stepper; each start keeps its own stop rule, and its limit
-    may differ from a lone `integrate` run by about `rtol`.
+    may differ from a lone `integrate` run by about `rtol`.  Around every
+    stable entry the transformed Jacobian certifies a ball of attraction
+    (see `_attraction_ball`); a start found at a record mark within half
+    that radius has its limit certified, leaves the batch there and
+    reports that equilibrium as its final state.
     """
     grid = grid or GridSpec()
     eq_list = list(equilibria)
@@ -521,15 +618,30 @@ def basin_probe(sys: BivirusSystem, equilibria, grid: GridSpec = None, *,
                     and model.is_strictly_interior(s0)):
                 cells.append((i, j))
                 starts.append(s0)
+    balls = _AttractionBalls(sys, eq_list, stop_tol)
+    retired = by_rule = 0
     if starts:
         trajs = _integrate_starts(sys, starts, t_end, rtol=rtol, atol=atol,
                                   record_interval=record_interval,
-                                  stop_tol=stop_tol)
+                                  stop_tol=stop_tol,
+                                  retire=lambda y: balls.locate(y) >= 0)
         ends = np.array([traj.final_vector for traj in trajs])
+        held = balls.locate(ends)
+        in_ball = held >= 0
+        ends[in_ball] = balls.centres[held[in_ball]]
+        stopped = np.array([traj.outcome.kind == "converged" for traj in trajs])
         nearest = nearest_equilibrium(ends, eq_list, match_tol)
-        for cell, traj, end, k in zip(cells, trajs, ends, nearest):
+        for cell, end, k, ok in zip(cells, ends, nearest, in_ball | stopped):
             finals[cell] = end
-            labels[cell] = (k if traj.outcome.kind == "converged"
-                            else LABEL_UNRESOLVED)
+            labels[cell] = k if ok else LABEL_UNRESOLVED
+        retired = int(np.count_nonzero(in_ball))
+        by_rule = int(np.count_nonzero(stopped & ~in_ball))
+    log.debug("basin probe: %d starts retired in a ball, %d stopped by the "
+              "stop rule, %d unresolved; %d balls, radii %.3g to %.3g in their "
+              "weighted norms",
+              retired, by_rule,
+              int(np.count_nonzero(labels == LABEL_UNRESOLVED)),
+              len(balls.radii), balls.radii.min(initial=np.inf),
+              balls.radii.max(initial=0.0))
     return ProbeResult(labels=labels, final_states=finals,
                        a_values=a_vals, b_values=b_vals, legend=legend)

@@ -1,3 +1,7 @@
+import dataclasses
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -294,3 +298,170 @@ class TestLockstepBatch:
                             2.0, 1e-9, 1e-12, 0.5)
         assert info.value.start == 1
         assert info.value.t < 1.0 and info.value.state[0] > 1e3
+
+
+@pytest.fixture(scope="module")
+def lone_labels():
+    """Per case: (equilibria, 10x10 grid labels of lone `integrate` runs)."""
+    out = {}
+    grid = sim.GridSpec(n_a=10, n_b=10)
+    a_vals, b_vals = grid.axes()
+    for name in ("case2", "case3", "case4"):
+        sys = CASES[name].system()
+        eqs = bv.enumerate_equilibria(sys).equilibria
+        labels = np.full((10, 10), sim.LABEL_INVALID)
+        for i, j in np.ndindex(labels.shape):
+            s0 = State(a_vals[i] * np.ones(2), b_vals[j] * np.ones(2))
+            if model.in_feasible_set(s0, 0.0) and model.is_strictly_interior(s0):
+                traj = bv.integrate(sys, s0, record_interval=5.0)
+                labels[i, j] = (sim.nearest_equilibrium(traj.final_vector, eqs)[0]
+                                if traj.outcome.kind == "converged"
+                                else sim.LABEL_UNRESOLVED)
+        out[name] = (eqs, labels)
+    return out
+
+
+class TestAttractionBall:
+    STABLE = [("case2", "boundary_virus1"), ("case2", "boundary_virus2"),
+              ("case3", "coexistence"), ("case4", "boundary_virus2")]
+
+    @staticmethod
+    def _equilibrium(name, kind):
+        sys = CASES[name].system()
+        (e,) = bv.enumerate_equilibria(sys).of_kind(kind)
+        return sys, e
+
+    @pytest.mark.parametrize("name,kind", STABLE)
+    def test_starts_on_the_ball_converge_to_its_centre(self, name, kind):
+        # Offsets of +-rho v_i put a start at weighted distance rho from e;
+        # rho is 0.99 of the retirement radius (half the certified one) and
+        # of the certified radius itself.
+        sys, e = self._equilibrium(name, kind)
+        v, radius = sim._attraction_ball(sys, e, sim.DEFAULT_STOP_TOL)
+        centre = e.coordinates()
+        absent = centre == 0.0       # the absent virus at a boundary point
+        runs = 0
+        for rho in (0.99 * 0.5 * radius, 0.99 * radius):
+            for signs in np.ndindex(*(2,) * len(v)):
+                sign = np.where(np.array(signs) == 0, 1.0, -1.0)
+                if (sign[absent] < 0).any():
+                    continue
+                s0 = State.from_vector(centre + rho * sign * v)
+                if not model.in_feasible_set(s0, 0.0):
+                    continue
+                traj = bv.integrate(sys, s0)
+                assert traj.outcome.kind == "converged"
+                assert np.max(np.abs(traj.final_vector - centre)) <= 1e-7
+                runs += 1
+        assert runs >= 8
+
+    def test_no_ball_without_a_certificate(self):
+        sys2 = CASES["case2"].system()
+        enum = bv.enumerate_equilibria(sys2)
+        tol = sim.DEFAULT_STOP_TOL
+        for kind in ("healthy", "coexistence"):
+            (e,) = enum.of_kind(kind)
+            assert e.spectrum_class == "unstable"
+            assert sim._attraction_ball(sys2, e, tol) is None
+            # the transformed Jacobian refuses it even when labelled stable
+            fake = dataclasses.replace(e, spectrum_class="stable")
+            assert sim._attraction_ball(sys2, fake, tol) is None
+        # case1's line of equilibria: M is singular at each of its points,
+        # the two ends included
+        sys1 = CASES["case1"].system()
+        ends = bv.enumerate_equilibria(sys1).of_kind("boundary_virus1")
+        assert ends[0].spectrum_class == "singular_boundary"
+        z = bv.single_virus_endemic(B1, EYE)
+        for alpha in (0.0, 0.3, 0.5, 1.0):
+            point = dataclasses.replace(
+                ends[0], state=State(alpha * z, (1.0 - alpha) * z),
+                spectrum_class="stable")
+            assert bv.residual(sys1, point.state) <= 1e-12
+            assert sim._attraction_ball(sys1, point, tol) is None
+        assert sim._attraction_ball(sys1, ends[0], tol) is None
+
+    def test_no_ball_for_a_stale_equilibrium(self):
+        # a stable entry whose residual on the probed system is above
+        # stop_tol (here: case2's point handed to a perturbed case2)
+        _, e = self._equilibrium("case2", "boundary_virus1")
+        other = BivirusSystem(B1 * 1.001, EYE, CASES["case2"].B2, EYE)
+        assert sim._attraction_ball(other, e, sim.DEFAULT_STOP_TOL) is None
+
+    @pytest.mark.parametrize("name", ["case2", "case3", "case4"])
+    def test_probe_labels_match_lone_runs(self, name, lone_labels, caplog):
+        eqs, lone = lone_labels[name]
+        with caplog.at_level(logging.DEBUG, logger="bivirus.sim"):
+            probe = bv.basin_probe(CASES[name].system(), eqs,
+                                   sim.GridSpec(n_a=10, n_b=10))
+        assert (lone >= 0).sum() == 55
+        np.testing.assert_array_equal(probe.labels, lone)
+        (line,) = [r.getMessage() for r in caplog.records]
+        counts = re.match(r"basin probe: (\d+) starts retired in a ball, "
+                          r"(\d+) stopped by the stop rule, (\d+) unresolved",
+                          line).groups()
+        retired, by_rule, unresolved = map(int, counts)
+        assert retired > 0 and retired + by_rule == 55 and unresolved == 0
+
+    def test_inflated_ball_breaks_the_labels(self, lone_labels, monkeypatch):
+        # Balls inflated 300x, so that their retirement half holds the
+        # saddle (case2's coexistence point), capture starts bound for the
+        # other boundary equilibrium.
+        eqs, lone = lone_labels["case2"]
+        sys = CASES["case2"].system()
+        (coex,) = [e for e in eqs if e.kind == "coexistence"]
+        certified = sim._attraction_ball
+        reached = []
+
+        def inflated(sys_, e, stop_tol):
+            ball = certified(sys_, e, stop_tol)
+            if ball is None:
+                return None
+            v, radius = ball
+            gap = np.max(np.abs(coex.coordinates() - e.coordinates()) / v)
+            reached.append(gap < 0.5 * 300.0 * radius)
+            return v, 300.0 * radius
+
+        monkeypatch.setattr(sim, "_attraction_ball", inflated)
+        probe = bv.basin_probe(sys, eqs, sim.GridSpec(n_a=10, n_b=10))
+        assert reached == [True, True]
+        assert (probe.labels != lone).sum() > 0
+
+
+class TestFirstSameAsLast:
+    def test_guard_moved_row_gets_a_fresh_slope(self):
+        # y' = -y from 1 on both rows; the guard lifts row 1 back to 1 at
+        # the first accepted step at or past t = 1, so the slope carried
+        # over from the unguarded state is stale for that row only.
+        lifted = []
+
+        def guard(t, y, rows):
+            if t >= 1.0 and not lifted:
+                lifted.append(t)
+                y = y.copy()
+                y[rows == 1] = 1.0
+            return y
+
+        # At rtol 1e-6 both rows stay within 1e-7 of exp; a stale slope
+        # puts the lifted row 4e-5 off.
+        runs = _integrate_flat(lambda y: -y, np.ones((2, 1)), 0.0, 4.0,
+                               1e-6, 1e-9, 0.5, post_step=guard)
+        (t_lift,) = lifted
+        times, free, _ = runs[0]
+        _, reset, _ = runs[1]
+        assert np.max(np.abs(free[:, 0] - np.exp(-times))) <= 1e-6
+        after = times >= t_lift
+        assert np.max(np.abs(reset[after, 0]
+                             - np.exp(-(times[after] - t_lift)))) <= 1e-6
+
+    def test_rows_left_keep_their_own_slopes(self):
+        # y' = -y from 2 and from 1; row 0 leaves at the first record mark,
+        # and row 1 must go on from its own slope, not row 0's.
+        def stop_row_0(t, rows, times, records):
+            return rows == 0
+
+        runs = _integrate_flat(lambda y: -y, np.array([[2.0], [1.0]]), 0.0,
+                               4.0, 1e-6, 1e-9, 0.5, stop_check=stop_row_0)
+        assert runs[0][2] and len(runs[0][0]) == 2
+        times, states, stopped = runs[1]
+        assert not stopped and times[-1] == pytest.approx(4.0)
+        assert np.max(np.abs(states[:, 0] - np.exp(-times))) <= 1e-6
