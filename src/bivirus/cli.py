@@ -405,10 +405,11 @@ def _grade_flag(label, computed, expected):
 
 def run_case(case: case_lib.CaseStudy, t_end: float = sim.DEFAULT_T_END):
     """Grade one bundled case study.  Returns (all_ok, report_lines, doc)."""
-    system = equilibria._analysed(case.system())
+    system = case.system()
     lines = [f"{case.name}: B2 = {np.array2string(case.B2, separator=', ')}"]
     ok_all = True
-    enum = equilibria.enumerate_equilibria(system)
+    rep = build_analysis_report(system)
+    enum = rep.enumeration
     by_kind = {}
     for e in enum:
         by_kind.setdefault(e.kind, []).append(e)
@@ -436,10 +437,9 @@ def run_case(case: case_lib.CaseStudy, t_end: float = sim.DEFAULT_T_END):
         lines.append(line)
 
     # the spectral boundary test must agree with the Jacobian classification
-    verdicts = equilibria.boundary_stability(system)
     agree_map = {"locally_stable": "stable", "unstable": "unstable",
                  "critical": "singular_boundary"}
-    for verdict, kind in zip(verdicts,
+    for verdict, kind in zip(rep.boundary,
                              ("boundary_virus1", "boundary_virus2")):
         got = by_kind.get(kind, [])
         if verdict is None or len(got) != 1:
@@ -481,7 +481,7 @@ def run_case(case: case_lib.CaseStudy, t_end: float = sim.DEFAULT_T_END):
             ok_all &= ok
             lines.append(line)
     else:  # a line of equilibria: both limits must land on the segment
-        ns = equilibria._boundary_data(system).ns
+        ns = model.normalize_recovery(system)
         for tag, limit in (("A", res.limit_A), ("B", res.limit_B)):
             if limit is None:
                 ok, line = False, f"  [FAIL] corner {tag} did not converge"
@@ -496,9 +496,7 @@ def run_case(case: case_lib.CaseStudy, t_end: float = sim.DEFAULT_T_END):
     doc = {
         "case": case.name,
         "ok": ok_all,
-        "equilibria": analysis_to_dict(
-            AnalysisReport(system.n, equilibria._boundary_data(system).R,
-                           enum, verdicts, None))["equilibria"],
+        "equilibria": analysis_to_dict(rep)["equilibria"],
         "sandwich": sandwich_to_dict(res),
     }
     return ok_all, lines, doc

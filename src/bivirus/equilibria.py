@@ -144,14 +144,16 @@ def _make_equilibrium(sys, s, kind, band=speclin.CLASSIFY_BAND, degenerate=False
 # ---------------------------------------------------------------------------
 # single-virus endemic profile
 
-def single_virus_endemic(B, D, tol: float = 1e-12, max_iter: int = 20000):
+def single_virus_endemic(B, D, tol: float = 1e-12):
     """Endemic equilibrium of the single-virus SIS system (B, D).
 
     Returns None when rho(D^{-1} B) <= 1 (the virus dies out); otherwise
-    the unique strictly positive profile x with -D x + (I - X) B x = 0 to
-    residual `tol`.  A monotone fixed-point sweep x_i <- (Bx)_i /
-    (d_i + (Bx)_i) from 0.5 * ones does the global work and Newton steps
-    polish the answer.
+    the unique strictly positive profile x with -D x + (I - X) B x = 0,
+    found by monotone Newton from x = 1 (see `_endemic_profile`).  The
+    solve has no iteration cap of its own: it runs until no step lowers
+    the residual, and a profile whose residual is then still above `tol`
+    raises ConvergenceError, naming that residual, rather than being
+    returned.
     """
     B = speclin.require_nonnegative(B, "infection matrix")
     D = speclin.require_positive_diagonal(D, "recovery matrix")
@@ -160,37 +162,33 @@ def single_virus_endemic(B, D, tol: float = 1e-12, max_iter: int = 20000):
     d = np.diag(D)
     if speclin.spectral_radius(B / d[:, None]) <= 1.0:
         return None
-    return _endemic_profile(B, d, tol, max_iter)
+    return _endemic_profile(B, d, tol)
 
 
-def _endemic_profile(B, d, tol=1e-12, max_iter=20000):
+def _endemic_profile(B, d, tol=1e-12):
     """The solve behind `single_virus_endemic`, for a B already known to be
-    nonnegative, irreducible and supercritical against the rates d."""
-    n = B.shape[0]
-    x = np.full(n, 0.5)
-    for _ in range(max_iter):
-        y = B @ x
-        x_new = y / (d + y)
-        if np.max(np.abs(x_new - x)) <= 1e-8:
-            x = x_new
-            break
-        x = x_new
-    else:
-        raise ConvergenceError("endemic fixed-point sweep hit iteration cap",
-                               iterate=x)
+    nonnegative, irreducible and supercritical against the rates d.
 
-    def res(v):
-        return -d * v + (1.0 - v) * (B @ v)
+    Damped Newton (`_newton_root`) on F(x) = -d o x + (1 - x) o (B x),
+    started at x = 1 and run to the rounding floor.  F(1) = -d < 0, so the
+    start is a supersolution; along steps s <= 0 the curvature of F_i is
+    -2 s_i (B s)_i <= 0, and the Jacobian (1 - x) B - diag(d + B x) is a
+    nonsingular -M-matrix at and above the profile.  Every full or damped
+    step therefore stays a supersolution at or above the profile, and the
+    iterates fall monotonically to it (Ortega & Rheinboldt, Iterative
+    Solution of Nonlinear Equations in Several Variables, 1970, 13.3),
+    however close the reproduction number is to 1.
+    """
+    def f(x):
+        return -d * x + (1.0 - x) * (B @ x)
 
-    for _ in range(50):
-        r = res(x)
-        if np.max(np.abs(r)) <= tol:
-            break
-        J = -np.diag(d) + (1.0 - x)[:, None] * B - np.diag(B @ x)
-        x = x - np.linalg.solve(J, r)
-    else:
-        raise ConvergenceError("endemic Newton polish hit iteration cap",
-                               iterate=x)
+    def jac(x):
+        return (1.0 - x)[:, None] * B - np.diag(d + B @ x)
+
+    x, rnorm, _ = _newton_root(f, jac, np.ones(len(d)), 0.0)
+    if not rnorm <= tol:
+        raise ConvergenceError(f"endemic Newton stalled at residual "
+                               f"{rnorm:.3e} > tol {tol:.1e}", iterate=x)
     if (x <= 0).any() or (x >= 1).any():
         raise ConvergenceError("endemic profile left (0, 1)", iterate=x)
     return x

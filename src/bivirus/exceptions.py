@@ -18,7 +18,7 @@ class ValidationError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver hit its iteration cap.
+    """A solver stopped without meeting its tolerance or its check.
 
     `estimate` and `iterate` hold the last value/vector produced, so a
     caller can inspect how far the iteration got.

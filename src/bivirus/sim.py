@@ -14,6 +14,11 @@ batch.  Each start keeps its own error test, containment guard and stop
 rule; sharing the step size means a batched start may end within about
 `rtol` of where a lone run would.
 
+A run stops once its field residual is at most `stop_tol` times the
+system's largest recovery rate and its state has stopped drifting: the
+residual is measured in units of the fastest recovery, so rescaling every
+rate (time) leaves the verdict unchanged.
+
 `basin_probe` alone also retires a start early once it enters a certified
 ball of attraction around a stable equilibrium (from the logarithmic norm
 of the Metzler transformed Jacobian); such a start reports that
@@ -62,7 +67,7 @@ DEFAULT_STOP_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Outcome:
-    kind: str                  # converged | limit_cycle_suspected | budget_exhausted
+    kind: str                  # converged | budget_exhausted
     state: State | None        # equilibrium candidate when converged
     residual: float
 
@@ -126,10 +131,11 @@ def _integrate_flat(f, y0, t0, t_end, rtol, atol, record_interval,
     post_step(t, y, rows) may adjust or reject the accepted states y of
     the active rows `rows` (clamping, invariant guards); it returns y
     itself when it changes nothing and a new array otherwise, never
-    writing into y.  stop_check(t, rows, times, records) is consulted at
-    record marks, with the record times and the recorded (m, d) arrays so
-    far, and returns a boolean mask over `rows`; a row it stops is frozen
-    with its own records and leaves the batch.
+    writing into y.  stop_check(t, rows, times, records, fy) is consulted
+    at record marks, with the record times, the recorded (m, d) arrays so
+    far and the slopes fy of the active rows at the mark, and returns a
+    boolean mask over `rows`; a row it stops is frozen with its own
+    records and leaves the batch.
 
     Returns one (times, states, stopped) triple per row.
     """
@@ -172,7 +178,7 @@ def _integrate_flat(f, y0, t0, t_end, rtol, atol, record_interval,
                 records.append(frame)
                 next_rec += rec
                 if stop_check is not None:
-                    stop = stop_check(t, rows, times, records)
+                    stop = stop_check(t, rows, times, records, fy)
                     if stop.any():
                         counts[rows[stop]] = len(times)
                         rows, y, fy = rows[~stop], y[~stop], fy[~stop]
@@ -223,16 +229,23 @@ def _containment_guard(n, contain_tol):
     return guard
 
 
-def _stop_rule(f, stop_tol, window, retire=None):
-    """Per-row early stop: field residual <= stop_tol and no drift beyond
-    10 stop_tol over a trailing window that is at least half populated.
-    `retire`, when given, maps the current (k, d) states to a boolean mask
-    of rows to stop at once."""
-    def stop_check(t, rows, times, records):
+def _rate_scale(sys):
+    """The largest recovery rate of sys: the unit the stop tests measure
+    field residuals in."""
+    return float(max(np.diag(sys.D1).max(), np.diag(sys.D2).max()))
+
+
+def _stop_rule(stop_tol, rate, window, retire=None):
+    """Per-row early stop: field residual <= stop_tol * rate and no drift
+    beyond 10 stop_tol over a trailing window that is at least half
+    populated.  The residual is read from the slopes the stepper already
+    holds.  `retire`, when given, maps the current (k, d) states to a
+    boolean mask of rows to stop at once."""
+    def stop_check(t, rows, times, records, fy):
         y = records[-1][rows]
         done = (np.zeros(len(rows), dtype=bool) if retire is None
                 else retire(y))
-        calm = np.max(np.abs(f(y)), axis=1) <= stop_tol
+        calm = np.max(np.abs(fy), axis=1) <= stop_tol * rate
         t_floor = t - window
         first = bisect.bisect_left(times, t_floor)
         if not calm.any() or times[first] > t_floor + 0.5 * window:
@@ -255,8 +268,8 @@ def _integrate_starts(sys, starts, t_end, *, t0=0.0, rtol, atol,
     n = sys.n
     f = model.field(sys)
     stop_check = (None if stop_tol is None else
-                  _stop_rule(f, stop_tol, min(20.0, 0.1 * (t_end - t0)),
-                             retire))
+                  _stop_rule(stop_tol, _rate_scale(sys),
+                             min(20.0, 0.1 * (t_end - t0)), retire))
     runs = _integrate_flat(
         f, np.array([s.as_vector() for s in starts]), t0, t_end, rtol, atol,
         record_interval, post_step=_containment_guard(n, contain_tol),
@@ -284,9 +297,9 @@ def integrate(sys: BivirusSystem, s0: State, t_end: float = DEFAULT_T_END,
     After every accepted step, entries caught in [-1e-12, 0) are clamped to
     zero and the feasible-set constraints are checked; violations beyond
     `contain_tol` abort rather than being masked.  When `stop_tol` is set,
-    the run ends early once the field residual stays below it and the
-    state has stopped drifting over a trailing window, and the trajectory
-    is marked converged.
+    the run ends early once the field residual stays below `stop_tol`
+    times the largest recovery rate and the state has stopped drifting
+    over a trailing window, and the trajectory is marked converged.
 
     This is a lockstep batch of one start, the same stepper that
     `sandwich_test` and `basin_probe` run on all their starts at once.
@@ -303,42 +316,29 @@ def detect_convergence(system_or_field, traj: Trajectory, window: float = None,
                        tol: float = DEFAULT_STOP_TOL) -> Outcome:
     """Classify the tail of a trajectory.
 
-    converged: endpoint residual <= tol and no drift beyond tol over the
-    trailing window (default 10% of the recorded span).
-    limit_cycle_suspected: residual stuck >= 10 tol while the window shows
-    wide excursions that keep revisiting themselves.  Advisory only --
-    attracting cycles do not exist for generic bivirus systems, so seeing
-    one numerically is itself a red flag.
-    Anything else: budget_exhausted.
+    converged: endpoint residual <= tol in units of the largest recovery
+    rate (when given a system; a bare field has unit scale) and no drift
+    beyond tol over the trailing window (default 10% of the recorded
+    span).  Anything else: budget_exhausted.  Attracting cycles do not
+    exist for generic bivirus systems (almost every start converges to an
+    equilibrium; Hirsch, J. reine angew. Math. 383, 1988), so there is no
+    third outcome.
     """
     if isinstance(system_or_field, BivirusSystem):
         f = model.field(system_or_field)
+        rate = _rate_scale(system_or_field)
     else:
-        f = system_or_field
+        f, rate = system_or_field, 1.0
     y_end = traj.states[-1]
     res = float(np.max(np.abs(f(y_end))))
     span = traj.times[-1] - traj.times[0]
     if window is None:
         window = 0.1 * span
-    mask = traj.times >= traj.times[-1] - window
-    win_t = traj.times[mask]
-    win_y = traj.states[mask]
-
+    win_y = traj.states[traj.times >= traj.times[-1] - window]
     drift = float(np.max(np.abs(win_y - y_end))) if len(win_y) else 0.0
-    state = State.from_vector(y_end) if traj.n is not None else None
-    if res <= tol and drift <= tol:
+    if res <= tol * rate and drift <= tol:
+        state = State.from_vector(y_end) if traj.n is not None else None
         return Outcome("converged", state, res)
-
-    if res >= 10.0 * tol and len(win_y) >= 8:
-        diffs = win_y[:, None, :] - win_y[None, :, :]
-        dist = np.max(np.abs(diffs), axis=2)
-        diameter = float(dist.max())
-        gaps = np.abs(win_t[:, None] - win_t[None, :])
-        separated = gaps >= window / 4.0
-        if separated.any() and diameter >= 100.0 * tol:
-            revisit = float(dist[separated].min())
-            if revisit <= 0.05 * diameter:
-                return Outcome("limit_cycle_suspected", None, res)
     return Outcome("budget_exhausted", None, res)
 
 

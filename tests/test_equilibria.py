@@ -3,7 +3,7 @@ import pytest
 
 import bivirus as bv
 from bivirus import CASES, equilibria, model
-from bivirus.exceptions import DomainError
+from bivirus.exceptions import ConvergenceError, DomainError
 from bivirus.model import BivirusSystem, State
 
 import oracles
@@ -43,6 +43,25 @@ class TestSingleVirusEndemic:
         r = -d * x + (1 - x) * (B1 @ x)
         assert np.max(np.abs(r)) <= 1e-12
         assert (x > 0).all() and (x < 1).all()
+
+    @pytest.mark.parametrize("excess", [1e-5, 1e-7])
+    def test_near_threshold_equal_row_sums(self, excess):
+        # Every row of D^-1 B sums to R, so the profile is exactly
+        # (1 - 1/R) 1 = ((R - 1) / R) 1, with R just above 1.
+        R = 1.0 + excess
+        d = np.array([0.5, 1.0, 2.0, 4.0])
+        A = np.random.default_rng(5).uniform(0.1, 1.0, size=(4, 4))
+        systems = [((R / 4.0) * np.ones((4, 4)), np.eye(4)),
+                   (B1 * (R / 2.6), EYE),
+                   (A * (R * d / A.sum(axis=1))[:, None], np.diag(d))]
+        expected = (R - 1.0) / R
+        for B, D in systems:
+            x = bv.single_virus_endemic(B, D)
+            assert np.max(np.abs(x / expected - 1.0)) <= 1e-8
+
+    def test_unmet_tol_raises_naming_the_residual(self):
+        with pytest.raises(ConvergenceError, match="residual"):
+            bv.single_virus_endemic(CASES["case2"].B2, EYE, tol=1e-300)
 
 
 class TestBoundaryStability:

@@ -92,14 +92,6 @@ class TestDetectConvergence:
         target = np.array([0.0, 0.0, 0.665, 0.665])
         assert np.max(np.abs(traj.outcome.state.as_vector() - target)) <= 1e-3
 
-    def test_circular_field_suspected_cycle(self):
-        f = lambda y: y[..., ::-1] * np.array([-1.0, 1.0])
-        times, states, _ = _integrate_flat(f, np.array([[1.0, 0.0]]), 0.0,
-                                           40.0, 1e-9, 1e-12, 0.1)[0]
-        traj = Trajectory(times=times, states=states)
-        out = bv.detect_convergence(f, traj, window=15.0, tol=1e-9)
-        assert out.kind == "limit_cycle_suspected"
-
     def test_steady_drift_is_budget_exhausted(self):
         f = lambda y: np.zeros_like(y) + np.array([0.01, 0.0])
         times, states, _ = _integrate_flat(f, np.zeros((1, 2)), 0.0, 40.0,
@@ -107,6 +99,21 @@ class TestDetectConvergence:
         traj = Trajectory(times=times, states=states)
         out = bv.detect_convergence(f, traj, window=15.0, tol=1e-9)
         assert out.kind == "budget_exhausted"
+
+
+class TestRateScale:
+    @pytest.mark.parametrize("name", ["case2", "case4"])
+    def test_sandwich_verdict_survives_tenfold_rates(self, name):
+        # Every rate x10 is the same flow in time / 10: the same limits,
+        # and the stop test must see that rather than a 10x residual.
+        sys = CASES[name].system()
+        fast = BivirusSystem(10 * sys.B1, 10 * sys.D1, 10 * sys.B2,
+                             10 * sys.D2)
+        base, res = bv.sandwich_test(sys), bv.sandwich_test(fast)
+        assert base.conclusive and res.conclusive
+        assert res.agree == base.agree
+        for a, b in ((base.limit_A, res.limit_A), (base.limit_B, res.limit_B)):
+            assert np.max(np.abs(a.as_vector() - b.as_vector())) <= 1e-7
 
 
 class TestOrderLeq:
@@ -456,7 +463,7 @@ class TestFirstSameAsLast:
     def test_rows_left_keep_their_own_slopes(self):
         # y' = -y from 2 and from 1; row 0 leaves at the first record mark,
         # and row 1 must go on from its own slope, not row 0's.
-        def stop_row_0(t, rows, times, records):
+        def stop_row_0(t, rows, times, records, fy):
             return rows == 0
 
         runs = _integrate_flat(lambda y: -y, np.array([[2.0], [1.0]]), 0.0,
@@ -465,3 +472,50 @@ class TestFirstSameAsLast:
         times, states, stopped = runs[1]
         assert not stopped and times[-1] == pytest.approx(4.0)
         assert np.max(np.abs(states[:, 0] - np.exp(-times))) <= 1e-6
+
+    def test_stop_rule_reads_the_held_slopes(self, monkeypatch):
+        # Inside the stepper a batch costs one field evaluation to start,
+        # six per attempted step and one per step whose guard moved a row;
+        # the stop rule adds none of its own.
+        count = dict(f=0, steps=0, moved=0, in_flat=0)
+        field, step_dp = model.field, sim._step_dp
+        guard, flat = sim._containment_guard, sim._integrate_flat
+
+        def counted_field(sys_):
+            f = field(sys_)
+
+            def g(y):
+                count["f"] += 1
+                return f(y)
+            return g
+
+        def counted_step(*args):
+            count["steps"] += 1
+            return step_dp(*args)
+
+        def counted_guard(*args):
+            inner = guard(*args)
+
+            def g(t, y, rows):
+                out = inner(t, y, rows)
+                count["moved"] += out is not y
+                return out
+            return g
+
+        def counted_flat(*args, **kw):
+            before = count["f"]
+            out = flat(*args, **kw)
+            count["in_flat"] = count["f"] - before
+            return out
+
+        monkeypatch.setattr(model, "field", counted_field)
+        monkeypatch.setattr(sim, "_step_dp", counted_step)
+        monkeypatch.setattr(sim, "_containment_guard", counted_guard)
+        monkeypatch.setattr(sim, "_integrate_flat", counted_flat)
+        sys = CASES["case2"].system()
+        trajs = _integrate_starts(sys, bv.demo_starts(), 2000.0, rtol=1e-9,
+                                  atol=1e-12, record_interval=1.0,
+                                  stop_tol=sim.DEFAULT_STOP_TOL)
+        assert all(tr.outcome.kind == "converged" for tr in trajs)
+        assert count["steps"] > 0
+        assert count["in_flat"] == 1 + 6 * count["steps"] + count["moved"]
