@@ -7,7 +7,9 @@ Quick tour:
     ...                        [[2.1, 0.885], [1.885, 1.1]], np.eye(2))
     >>> bv.validate(sys)                      # model assumptions
     >>> bv.reproduction_numbers(sys)          # (R1, R2)
-    >>> bv.enumerate_equilibria(sys)          # healthy/boundary/coexistence
+    >>> a = bv.analysis(sys)                  # validated once: R, profiles
+    >>> bv.enumerate_equilibria(a)            # healthy/boundary/coexistence
+    >>> bv.boundary_stability(a)              # same context, no recompute
     >>> bv.sandwich_test(sys)                 # corner-trajectory bound
 """
 
@@ -15,12 +17,13 @@ from .exceptions import (ConvergenceError, DomainError, IntegrationError,
                          ValidationError)
 from .speclin import (classify_metzler, is_irreducible, perron_vector,
                       spectral_abscissa, spectral_radius)
-from .model import (BivirusSystem, OrderCone, State, field, in_feasible_set,
+from .model import (BivirusSystem, State, field, in_feasible_set,
                     is_strictly_interior, jacobian, normalize_recovery,
                     reproduction_numbers, residual, transformed_jacobian,
                     validate, validation_errors, vector_field)
-from .equilibria import (BoundaryVerdict, EnumerationResult, Equilibrium,
-                         LineFamily, SufficientConditions, boundary_stability,
+from .equilibria import (Analysis, BoundaryVerdict, EnumerationResult,
+                         Equilibrium, LineFamily, SufficientConditions,
+                         analysis, boundary_stability,
                          construct_equilibrium_line, enumerate_equilibria,
                          find_coexistence_newton, single_virus_endemic,
                          solve_coexistence_n2, sufficient_conditions)
@@ -33,7 +36,7 @@ from .cases import CASES, CaseStudy, demo_starts
 __version__ = "0.1.0"
 
 __all__ = [
-    "BivirusSystem", "State", "OrderCone", "Equilibrium", "BoundaryVerdict",
+    "BivirusSystem", "State", "Analysis", "Equilibrium", "BoundaryVerdict",
     "SufficientConditions", "LineFamily", "EnumerationResult", "Trajectory",
     "Outcome", "SandwichResult", "GridSpec", "ProbeResult", "CaseStudy",
     "CASES",
@@ -42,7 +45,7 @@ __all__ = [
     "transformed_jacobian", "in_feasible_set", "is_strictly_interior",
     "is_irreducible", "spectral_radius", "spectral_abscissa", "perron_vector",
     "classify_metzler",
-    "single_virus_endemic", "boundary_stability", "sufficient_conditions",
+    "analysis", "single_virus_endemic", "boundary_stability", "sufficient_conditions",
     "solve_coexistence_n2", "find_coexistence_newton", "enumerate_equilibria",
     "construct_equilibrium_line",
     "integrate", "detect_convergence", "order_leq", "corner_states",

@@ -146,15 +146,17 @@ class AnalysisReport:
     sufficient: equilibria.SufficientConditions | None
 
 
-def build_analysis_report(system: BivirusSystem) -> AnalysisReport:
-    system = equilibria._analysed(system)
-    r1, r2 = equilibria._boundary_data(system).R
-    enum = equilibria.enumerate_equilibria(system)
-    boundary = equilibria.boundary_stability(system)
+def build_analysis_report(
+        system: BivirusSystem | equilibria.Analysis) -> AnalysisReport:
+    """The full report on a system or its `equilibria.Analysis`."""
+    a = equilibria.analysis(system)
+    r1, r2 = a.R
+    enum = equilibria.enumerate_equilibria(a)
+    boundary = equilibria.boundary_stability(a)
     sufficient = None
     if r1 > 1.0 and r2 > 1.0:
-        sufficient = equilibria.sufficient_conditions(system)
-    return AnalysisReport(n=system.n, reproduction_numbers=(r1, r2),
+        sufficient = equilibria.sufficient_conditions(a)
+    return AnalysisReport(n=a.system.n, reproduction_numbers=(r1, r2),
                           enumeration=enum, boundary=boundary,
                           sufficient=sufficient)
 
@@ -405,10 +407,10 @@ def _grade_flag(label, computed, expected):
 
 def run_case(case: case_lib.CaseStudy, t_end: float = sim.DEFAULT_T_END):
     """Grade one bundled case study.  Returns (all_ok, report_lines, doc)."""
-    system = case.system()
+    a = equilibria.analysis(case.system())
     lines = [f"{case.name}: B2 = {np.array2string(case.B2, separator=', ')}"]
     ok_all = True
-    rep = build_analysis_report(system)
+    rep = build_analysis_report(a)
     enum = rep.enumeration
     by_kind = {}
     for e in enum:
@@ -437,8 +439,6 @@ def run_case(case: case_lib.CaseStudy, t_end: float = sim.DEFAULT_T_END):
         lines.append(line)
 
     # the spectral boundary test must agree with the Jacobian classification
-    agree_map = {"locally_stable": "stable", "unstable": "unstable",
-                 "critical": "singular_boundary"}
     for verdict, kind in zip(rep.boundary,
                              ("boundary_virus1", "boundary_virus2")):
         got = by_kind.get(kind, [])
@@ -446,7 +446,7 @@ def run_case(case: case_lib.CaseStudy, t_end: float = sim.DEFAULT_T_END):
             ok, line = False, f"  [FAIL] {kind}: verdict/classification missing"
         else:
             ok, line = _grade_flag(f"{kind} spectral-vs-Jacobian agreement",
-                                   agree_map[verdict.verdict],
+                                   equilibria.VERDICT_CLASS[verdict.verdict],
                                    got[0].spectrum_class)
         ok_all &= ok
         lines.append(line)
@@ -457,7 +457,7 @@ def run_case(case: case_lib.CaseStudy, t_end: float = sim.DEFAULT_T_END):
     ok_all &= ok
     lines.append(line)
 
-    res = sim.sandwich_test(system, t_end=t_end)
+    res = sim.sandwich_test(a.system, t_end=t_end)
     if case.sandwich == "agree":
         ok, line = _grade_flag("sandwich agreement", res.agree, True)
         ok_all &= ok
@@ -481,15 +481,14 @@ def run_case(case: case_lib.CaseStudy, t_end: float = sim.DEFAULT_T_END):
             ok_all &= ok
             lines.append(line)
     else:  # a line of equilibria: both limits must land on the segment
-        ns = model.normalize_recovery(system)
         for tag, limit in (("A", res.limit_A), ("B", res.limit_B)):
             if limit is None:
                 ok, line = False, f"  [FAIL] corner {tag} did not converge"
             else:
-                ok = model.residual(ns, limit) <= 1e-8
+                r = model.residual(a.ns, limit)
+                ok = r <= 1e-8
                 line = (f"  [{'PASS' if ok else 'FAIL'}] corner {tag} limit on "
-                        f"the equilibrium line (residual "
-                        f"{model.residual(ns, limit):.1e})")
+                        f"the equilibrium line (residual {r:.1e})")
             ok_all &= ok
             lines.append(line)
 
@@ -600,29 +599,34 @@ def build_parser() -> argparse.ArgumentParser:
                     "stability, and monotone-simulation bounds.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, config_required=True):
-        if config_required:
+    flags = {
+        "--tol": dict(type=float, help="residual/convergence tolerance"),
+        "--t-end": dict(type=float, help="integration horizon"),
+        "--eta": dict(type=float, help="corner inset for the sandwich test"),
+        "--seed": dict(type=int,
+                       help="seed for the deterministic jitter pattern"),
+        "--json": dict(action="store_true",
+                       help="emit a machine-readable JSON document"),
+    }
+
+    def command(name, about, *names, config=True):
+        """A subcommand with --out and only the flags it reads."""
+        sp = sub.add_parser(name, help=about)
+        if config:
             sp.add_argument("--config", required=True,
                             help="JSON config file")
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--tol", type=float, default=None,
-                        help="residual/convergence tolerance")
-        sp.add_argument("--t-end", dest="t_end", type=float, default=None,
-                        help="integration horizon")
-        sp.add_argument("--eta", type=float, default=None,
-                        help="corner inset for the sandwich test")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="seed for the deterministic jitter pattern")
-        sp.add_argument("--json", action="store_true",
-                        help="emit a machine-readable JSON document")
+        for flag in names:
+            sp.add_argument(flag, **flags[flag])
 
-    common(sub.add_parser("analyze", help="equilibria and stability report"))
-    common(sub.add_parser("simulate", help="integrate configured starts to CSV"))
-    common(sub.add_parser("sandwich", help="two-corner bounding simulation"))
-    common(sub.add_parser("cases", help="run the bundled case studies"),
-           config_required=False)
-    common(sub.add_parser("construct-line",
-                          help="build a line-of-equilibria system"))
+    command("analyze", "equilibria and stability report", "--json")
+    command("simulate", "integrate configured starts to CSV",
+            "--tol", "--t-end")
+    command("sandwich", "two-corner bounding simulation",
+            "--tol", "--t-end", "--eta", "--seed", "--json")
+    command("cases", "run the bundled case studies", "--t-end", "--json",
+            config=False)
+    command("construct-line", "build a line-of-equilibria system")
     return p
 
 

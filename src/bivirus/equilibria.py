@@ -11,14 +11,17 @@ coexistence (both strictly positive at every node).  For generic rate
 matrices there are finitely many; a special construction below produces
 the nongeneric alternative, a whole line segment of coexistence
 equilibria.
+
+Every analysis of a system accepts the system or its `Analysis`: the
+validated system with its recovery-normalized rates, (R1, R2) and both
+endemic profiles.  Build that context once with `analysis` and hand it to
+several analyses, so they share the spectral work instead of repeating it.
 """
 
 from __future__ import annotations
 
-import copy
 import logging
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +36,9 @@ DEDUP_RADIUS = 1e-6
 #: Minimum entry / minimum distance from the x1 + x2 = 1 face for a root
 #: to count as a coexistence (strictly interior) equilibrium.
 INTERIOR_FLOOR = 1e-7
+#: Largest infinity-norm field residual at which a Newton iterate counts
+#: as a root.
+NEWTON_TOL = 1e-10
 
 KIND_HEALTHY = "healthy"
 KIND_BOUNDARY_1 = "boundary_virus1"
@@ -44,6 +50,16 @@ _SPECTRUM_FROM_METZLER = {
     "unstable": "unstable",
     "singular_boundary": "singular_boundary",
 }
+# rho_cross - 1 is the spectral abscissa of the cross block of the
+# Jacobian at a boundary equilibrium, so it is classified as one.
+_VERDICT_FROM_METZLER = {
+    "hurwitz": "locally_stable",
+    "unstable": "unstable",
+    "singular_boundary": "critical",
+}
+#: Boundary-test verdict -> the Jacobian class it must agree with.
+VERDICT_CLASS = {_VERDICT_FROM_METZLER[k]: v
+                 for k, v in _SPECTRUM_FROM_METZLER.items()}
 
 
 @dataclass(frozen=True)
@@ -65,7 +81,8 @@ class Equilibrium:
 class BoundaryVerdict:
     """Outcome of the cross-infection spectral test at a boundary
     equilibrium: rho_cross = rho((I - X_bar) B_other) decides local
-    stability (< 1 stable, > 1 unstable, tol band -> critical)."""
+    stability (< 1 stable, > 1 unstable, within the classification band
+    of 1 -> critical)."""
 
     rho_cross: float
     verdict: str          # locally_stable | unstable | critical
@@ -117,7 +134,7 @@ class EnumerationResult:
 # ---------------------------------------------------------------------------
 # classification helper
 
-def classify_state(sys: BivirusSystem, s: State, band: float = speclin.CLASSIFY_BAND):
+def classify_state(sys: BivirusSystem, s: State):
     """(spectrum_class, abscissa) of the transformed Jacobian at s.
 
     Where a virus block of s is zero (the healthy state, the boundary
@@ -131,11 +148,11 @@ def classify_state(sys: BivirusSystem, s: State, band: float = speclin.CLASSIFY_
         n = sys.n
         s_val = max(speclin.spectral_abscissa(PJP[:n, :n]),
                     speclin.spectral_abscissa(PJP[n:, n:]))
-    return _SPECTRUM_FROM_METZLER[speclin.classify_abscissa(s_val, band)], s_val
+    return _SPECTRUM_FROM_METZLER[speclin.classify_abscissa(s_val)], s_val
 
 
-def _make_equilibrium(sys, s, kind, band=speclin.CLASSIFY_BAND, degenerate=False):
-    spectrum, absc = classify_state(sys, s, band)
+def _make_equilibrium(sys, s, kind, degenerate=False):
+    spectrum, absc = classify_state(sys, s)
     return Equilibrium(state=s, kind=kind, residual=model.residual(sys, s),
                        spectrum_class=spectrum, abscissa=absc,
                        degenerate=degenerate or spectrum == "singular_boundary")
@@ -194,42 +211,34 @@ def _endemic_profile(B, d, tol=1e-12):
     return x
 
 
-class _Boundary(NamedTuple):
-    """What every analysis below starts from."""
+@dataclass(frozen=True)
+class Analysis:
+    """What every analysis below starts from; build it with `analysis`."""
 
-    ns: BivirusSystem     # the recovery-normalized system
-    R: tuple              # (R1, R2)
-    bars: tuple           # (x1_bar, x2_bar); None where Ri <= 1
+    system: BivirusSystem  # the validated system as given
+    ns: BivirusSystem      # its recovery-normalized copy
+    R: tuple               # (R1, R2)
+    bars: tuple            # (x1_bar, x2_bar); None where Ri <= 1
 
 
-def _boundary_data(sys: BivirusSystem) -> _Boundary:
-    """The boundary data of sys, read back from a system `_analysed`
-    returned, computed afresh otherwise."""
-    bd = getattr(sys, "_boundary", None)
-    if bd is not None:
-        return bd
+def analysis(sys: BivirusSystem | Analysis) -> Analysis:
+    """The `Analysis` of sys, validated once (`model.validate`); an
+    Analysis is returned unchanged."""
+    if isinstance(sys, Analysis):
+        return sys
+    model.validate(sys)
     ns = model.normalize_recovery(sys)
     rs = model.reproduction_numbers(ns)
     ones = np.ones(ns.n)
-    return _Boundary(ns, rs, tuple(_endemic_profile(B, ones) if r > 1.0 else None
-                                   for r, B in zip(rs, (ns.B1, ns.B2))))
-
-
-def _analysed(sys: BivirusSystem) -> BivirusSystem:
-    """A shallow copy of sys carrying its `_boundary_data`, so that the
-    analyses it is handed to compute that data once between them.  A copy,
-    so nothing stays cached on the caller's system after the call."""
-    if getattr(sys, "_boundary", None) is not None:
-        return sys
-    out = copy.copy(sys)
-    object.__setattr__(out, "_boundary", _boundary_data(sys))
-    return out
+    bars = tuple(_endemic_profile(B, ones) if r > 1.0 else None
+                 for r, B in zip(rs, (ns.B1, ns.B2)))
+    return Analysis(sys, ns, rs, bars)
 
 
 # ---------------------------------------------------------------------------
 # boundary equilibria
 
-def boundary_stability(sys: BivirusSystem, band: float = speclin.CLASSIFY_BAND):
+def boundary_stability(sys: BivirusSystem | Analysis):
     """(verdict for (x1_bar, 0), verdict for (0, x2_bar)).
 
     Each entry is a BoundaryVerdict, or None when the corresponding virus
@@ -237,20 +246,16 @@ def boundary_stability(sys: BivirusSystem, band: float = speclin.CLASSIFY_BAND):
     system is recovery-normalized internally (equilibria and their
     stability are unchanged by that).
     """
-    ns, _, bars = _boundary_data(sys)
+    a = analysis(sys)
     verdicts = []
-    for xbar, B_other in zip(bars, (ns.B2, ns.B1)):
+    for xbar, B_other in zip(a.bars, (a.ns.B2, a.ns.B1)):
         if xbar is None:
             verdicts.append(None)
             continue
         rho_cross = speclin.spectral_radius((1.0 - xbar)[:, None] * B_other)
-        if rho_cross < 1.0 - band:
-            verdict = "locally_stable"
-        elif rho_cross > 1.0 + band:
-            verdict = "unstable"
-        else:
-            verdict = "critical"
-        verdicts.append(BoundaryVerdict(rho_cross=rho_cross, verdict=verdict))
+        verdict = speclin.classify_abscissa(rho_cross - 1.0)
+        verdicts.append(BoundaryVerdict(rho_cross=rho_cross,
+                                        verdict=_VERDICT_FROM_METZLER[verdict]))
     return tuple(verdicts)
 
 
@@ -259,14 +264,15 @@ def _dominance(a, b) -> bool:
     return bool((a >= b).all() and (a > b).any())
 
 
-def sufficient_conditions(sys: BivirusSystem) -> SufficientConditions:
+def sufficient_conditions(sys: BivirusSystem | Analysis) -> SufficientConditions:
     """Evaluate the three coexistence-excluding dominance tests in both
     virus orderings on the recovery-normalized rates.
 
     Requires both viruses supercritical (each boundary equilibrium must
     exist for the comparisons to mean anything).
     """
-    ns, _, (x1bar, x2bar) = _boundary_data(sys)
+    a = analysis(sys)
+    ns, (x1bar, x2bar) = a.ns, a.bars
     if x1bar is None or x2bar is None:
         raise DomainError("sufficient_conditions needs R1 > 1 and R2 > 1")
 
@@ -293,7 +299,7 @@ def sufficient_conditions(sys: BivirusSystem) -> SufficientConditions:
 # ---------------------------------------------------------------------------
 # coexistence equilibria, n = 2 analytic route
 
-def solve_coexistence_n2(sys: BivirusSystem, band: float = speclin.CLASSIFY_BAND):
+def solve_coexistence_n2(sys: BivirusSystem | Analysis):
     """All coexistence equilibria of a two-node system, analytically.
 
     Writing alpha = x1_2/x1_1 and gamma = x2_2/x2_1, the equilibrium
@@ -307,9 +313,10 @@ def solve_coexistence_n2(sys: BivirusSystem, band: float = speclin.CLASSIFY_BAND
     completed through two susceptible fractions s1, s2 and a 2x2 linear
     solve, and kept only if strictly interior.
     """
-    if sys.n != 2:
+    a = analysis(sys)
+    if a.system.n != 2:
         raise DomainError("analytic coexistence solver requires n = 2")
-    ns = model.normalize_recovery(sys)
+    ns = a.ns
     b1 = ns.B1
     b2 = ns.B2
     scale = max(b1.max(), b2.max())
@@ -373,7 +380,7 @@ def solve_coexistence_n2(sys: BivirusSystem, band: float = speclin.CLASSIFY_BAND
             continue
         found.append(s)
 
-    return [_make_equilibrium(sys, s, KIND_COEXISTENCE, band,
+    return [_make_equilibrium(a.system, s, KIND_COEXISTENCE,
                               degenerate=degenerate_root)
             for s in _dedup(found)]
 
@@ -381,11 +388,11 @@ def solve_coexistence_n2(sys: BivirusSystem, band: float = speclin.CLASSIFY_BAND
 # ---------------------------------------------------------------------------
 # coexistence equilibria, general-n Newton search
 
-def default_seed_grid(sys: BivirusSystem, levels=None):
+def default_seed_grid(sys: BivirusSystem | Analysis, levels=None):
     """Seed states (a * x1_bar, b * x2_bar) over a scalar intensity grid,
     respecting the geometry equilibria are expected to have.  Empty when
     either virus is subcritical (no coexistence is possible then)."""
-    x1bar, x2bar = _boundary_data(sys).bars
+    x1bar, x2bar = analysis(sys).bars
     if x1bar is None or x2bar is None:
         return []
     if levels is None:
@@ -482,11 +489,11 @@ def _newton_root(f, jac, v0, tol, known=None, max_iter=80):
     return v, rnorm, False
 
 
-def find_coexistence_newton(sys: BivirusSystem, seeds=None, tol: float = 1e-10,
-                            band: float = speclin.CLASSIFY_BAND):
+def find_coexistence_newton(sys: BivirusSystem | Analysis, seeds=None):
     """Coexistence equilibria by damped Newton from a family of seeds.
 
-    Converged roots are kept only when strictly interior (every entry
+    A seed converges when its residual falls to NEWTON_TOL.  Converged
+    roots are kept only when strictly interior (every entry
     positive and every nodewise sum below one, so the all-or-nothing
     zero-pattern of genuine equilibria is respected), deduplicated at
     1e-6 in the infinity norm after a lexicographic sort.  A seed whose
@@ -500,10 +507,10 @@ def find_coexistence_newton(sys: BivirusSystem, seeds=None, tol: float = 1e-10,
     returned points are many and carry spectrum_class ==
     'singular_boundary'.
     """
-    sys = _analysed(sys)
-    ns, _, bars = _boundary_data(sys)
+    a = analysis(sys)
+    ns = a.ns
     if seeds is None:
-        seeds = default_seed_grid(sys)
+        seeds = default_seed_grid(a)
     f = model.field(ns)
 
     # Damped Newton accepts only steps that strictly lower a finite
@@ -512,18 +519,18 @@ def find_coexistence_newton(sys: BivirusSystem, seeds=None, tol: float = 1e-10,
     def jac(v):
         return model.jacobian(ns, State.from_vector(v), tol=np.inf)
 
-    known = _KnownRoots(ns, bars, jac)
+    known = _KnownRoots(ns, a.bars, jac)
     roots = []
     failures = retired = 0
     for seed in seeds:
         v0 = seed.as_vector() if isinstance(seed, State) else np.asarray(seed, float)
         if not np.isfinite(v0).all():
             raise DomainError("newton seed has a NaN or infinite entry")
-        v, rnorm, in_ball = _newton_root(f, jac, v0, tol, known)
+        v, rnorm, in_ball = _newton_root(f, jac, v0, NEWTON_TOL, known)
         if in_ball:
             retired += 1
             continue
-        if rnorm > tol:
+        if rnorm > NEWTON_TOL:
             failures += 1
             continue
         known.add(v)
@@ -533,7 +540,7 @@ def find_coexistence_newton(sys: BivirusSystem, seeds=None, tol: float = 1e-10,
     log.debug("newton search: %d seeds converged, %d retired, %d failed; "
               "ball radii %.3g to %.3g", len(seeds) - retired - failures,
               retired, failures, min(known.radii), max(known.radii))
-    return [_make_equilibrium(sys, s, KIND_COEXISTENCE, band)
+    return [_make_equilibrium(a.system, s, KIND_COEXISTENCE)
             for s in _dedup(roots)]
 
 
@@ -550,7 +557,7 @@ def _dedup(states):
 # ---------------------------------------------------------------------------
 # full enumeration
 
-def enumerate_equilibria(sys: BivirusSystem, band: float = speclin.CLASSIFY_BAND,
+def enumerate_equilibria(sys: BivirusSystem | Analysis,
                          newton_seeds=None) -> EnumerationResult:
     """Assemble and classify every equilibrium: the healthy state, each
     boundary equilibrium that exists, and the coexistence set (analytic
@@ -560,24 +567,22 @@ def enumerate_equilibria(sys: BivirusSystem, band: float = speclin.CLASSIFY_BAND
     singular boundary of the classification band; that is the numerical
     signature of the nongeneric line-of-equilibria construction.
     """
-    model.validate(sys)
-    sys = _analysed(sys)
-    x1bar, x2bar = _boundary_data(sys).bars
+    a = analysis(sys)
+    sys, (x1bar, x2bar) = a.system, a.bars
     n = sys.n
 
-    items = [_make_equilibrium(sys, State.zero(n), KIND_HEALTHY, band)]
+    items = [_make_equilibrium(sys, State.zero(n), KIND_HEALTHY)]
     if x1bar is not None:
         items.append(_make_equilibrium(sys, State(x1bar, np.zeros(n)),
-                                       KIND_BOUNDARY_1, band))
+                                       KIND_BOUNDARY_1))
     if x2bar is not None:
         items.append(_make_equilibrium(sys, State(np.zeros(n), x2bar),
-                                       KIND_BOUNDARY_2, band))
+                                       KIND_BOUNDARY_2))
     if x1bar is not None and x2bar is not None:
         if n == 2:
-            items.extend(solve_coexistence_n2(sys, band))
+            items.extend(solve_coexistence_n2(a))
         else:
-            items.extend(find_coexistence_newton(sys, seeds=newton_seeds,
-                                                 band=band))
+            items.extend(find_coexistence_newton(a, seeds=newton_seeds))
 
     degenerate = any(e.spectrum_class == "singular_boundary" or e.degenerate
                      for e in items)
@@ -589,8 +594,7 @@ def enumerate_equilibria(sys: BivirusSystem, band: float = speclin.CLASSIFY_BAND
 # line-of-equilibria construction
 
 def construct_equilibrium_line(B1, mu: float = 1.0, c_matrix=None,
-                               blend_weight: float = 1.0,
-                               tol: float = 1e-12):
+                               blend_weight: float = 1.0):
     """Build a system whose coexistence set is a line segment (at mu = 1).
 
     Given a supercritical B1 (unit recovery rates), let z be its endemic
@@ -615,7 +619,7 @@ def construct_equilibrium_line(B1, mu: float = 1.0, c_matrix=None,
     if speclin.spectral_radius(B1) <= 1.0:
         raise DomainError("B1 is subcritical: no endemic profile to build on")
 
-    z = single_virus_endemic(B1, eye, tol=min(tol, 1e-13))
+    z = single_virus_endemic(B1, eye, tol=1e-13)
     rank_one = np.outer(z, z / float(z @ z))
     if c_matrix is None:
         C = rank_one

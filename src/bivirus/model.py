@@ -94,26 +94,6 @@ class State:
         return cls(np.zeros(n), np.zeros(n))
 
 
-class OrderCone:
-    """The orthant order used by the bivirus flow: first block up, second
-    block down (sign pattern m = (0..0, 1..1)).  P is diag(I, -I), its own
-    inverse; conjugating the Jacobian by P yields a Metzler matrix, which
-    is the differential test for monotonicity of the flow."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.m = np.concatenate([np.zeros(n, dtype=int), np.ones(n, dtype=int)])
-
-    @property
-    def P(self) -> np.ndarray:
-        return np.diag(np.where(self.m == 0, 1.0, -1.0))
-
-    def leq(self, a: State, b: State, tol: float = 0.0) -> bool:
-        if a.n != b.n or a.n != self.n:
-            raise DomainError("state dimensions do not match the cone")
-        return bool((b.x1 >= a.x1 - tol).all() and (b.x2 <= a.x2 + tol).all())
-
-
 # ---------------------------------------------------------------------------
 # validation
 

@@ -12,7 +12,7 @@ batch of starts in lockstep: `integrate` is a batch of one, the sandwich
 corners are a batch of two and `basin_probe` runs its whole grid as one
 batch.  Each start keeps its own error test, containment guard and stop
 rule; sharing the step size means a batched start may end within about
-`rtol` of where a lone run would.
+the relative tolerance (1e-9) of where a lone run would.
 
 A run stops once its field residual is at most `stop_tol` times the
 system's largest recovery rate and its state has stopped drifting: the
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import model
 from .exceptions import DomainError, IntegrationError
-from .model import BivirusSystem, OrderCone, State
+from .model import BivirusSystem, State
 
 log = logging.getLogger(__name__)
 
@@ -63,6 +63,9 @@ CLAMP_DEPTH = 1e-12
 DEFAULT_ETA = 1e-3
 DEFAULT_T_END = 2000.0
 DEFAULT_STOP_TOL = 1e-9
+#: An integrated state counts as at an equilibrium within this infinity
+#: distance of it.
+MATCH_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -209,16 +212,18 @@ def _integrate_flat(f, y0, t0, t_end, rtol, atol, record_interval,
 # ---------------------------------------------------------------------------
 # bivirus integration
 
-def _containment_guard(n, contain_tol):
+def _containment_guard(n):
+    tol = model.CONTAINMENT_TOL
+
     def guard(t, y, rows):
         tiny = (y >= -CLAMP_DEPTH) & (y < 0.0)
         if tiny.any():
             y = np.where(tiny, 0.0, y)
         sums = y[:, :n] + y[:, n:]
-        cap = 1.0 + contain_tol
-        if y.min() < -contain_tol or y.max() > cap or sums.max() > cap:
+        cap = 1.0 + tol
+        if y.min() < -tol or y.max() > cap or sums.max() > cap:
             lo, top = y.min(axis=1), sums.max(axis=1)
-            k = int(np.argmax((lo < -contain_tol) | (y.max(axis=1) > cap)
+            k = int(np.argmax((lo < -tol) | (y.max(axis=1) > cap)
                               | (top > cap)))
             r = int(rows[k])
             raise IntegrationError(
@@ -256,23 +261,24 @@ def _stop_rule(stop_tol, rate, window, retire=None):
     return stop_check
 
 
-def _integrate_starts(sys, starts, t_end, *, t0=0.0, rtol, atol,
-                      record_interval, stop_tol,
-                      contain_tol=model.CONTAINMENT_TOL, retire=None):
-    """One lockstep batch of `integrate` runs, one Trajectory per start.
-    A row that `retire` (see `_stop_rule`) stops is marked converged."""
+def _integrate_starts(sys, starts, t_end, *, rtol=1e-9, atol=1e-12,
+                      record_interval=1.0, stop_tol=DEFAULT_STOP_TOL,
+                      retire=None):
+    """One lockstep batch of `integrate` runs from t = 0, one Trajectory
+    per start.  A row that `retire` (see `_stop_rule`) stops is marked
+    converged."""
     starts = [State(np.asarray(s.x1, float), np.asarray(s.x2, float))
               for s in starts]
     for s in starts:
-        model.require_in_feasible_set(s, contain_tol)
+        model.require_in_feasible_set(s)
     n = sys.n
     f = model.field(sys)
     stop_check = (None if stop_tol is None else
                   _stop_rule(stop_tol, _rate_scale(sys),
-                             min(20.0, 0.1 * (t_end - t0)), retire))
+                             min(20.0, 0.1 * t_end), retire))
     runs = _integrate_flat(
-        f, np.array([s.as_vector() for s in starts]), t0, t_end, rtol, atol,
-        record_interval, post_step=_containment_guard(n, contain_tol),
+        f, np.array([s.as_vector() for s in starts]), 0.0, t_end, rtol, atol,
+        record_interval, post_step=_containment_guard(n),
         stop_check=stop_check)
     residuals = np.max(np.abs(f(np.array([r[1][-1] for r in runs]))), axis=1)
     trajs = []
@@ -288,25 +294,26 @@ def _integrate_starts(sys, starts, t_end, *, t0=0.0, rtol, atol,
 
 
 def integrate(sys: BivirusSystem, s0: State, t_end: float = DEFAULT_T_END,
-              *, t0: float = 0.0, rtol: float = 1e-9, atol: float = 1e-12,
+              *, rtol: float = 1e-9, atol: float = 1e-12,
               record_interval: float = 1.0,
-              stop_tol: float | None = DEFAULT_STOP_TOL,
-              contain_tol: float = model.CONTAINMENT_TOL) -> Trajectory:
-    """Integrate the bivirus dynamics from s0 and record at a uniform stride.
+              stop_tol: float | None = DEFAULT_STOP_TOL) -> Trajectory:
+    """Integrate the bivirus dynamics from s0 at t = 0 to t_end and record
+    at a uniform stride.
 
     After every accepted step, entries caught in [-1e-12, 0) are clamped to
     zero and the feasible-set constraints are checked; violations beyond
-    `contain_tol` abort rather than being masked.  When `stop_tol` is set,
-    the run ends early once the field residual stays below `stop_tol`
-    times the largest recovery rate and the state has stopped drifting
-    over a trailing window, and the trajectory is marked converged.
+    `model.CONTAINMENT_TOL` abort rather than being masked.  When
+    `stop_tol` is set, the run ends early once the field residual stays
+    below `stop_tol` times the largest recovery rate and the state has
+    stopped drifting over a trailing window, and the trajectory is marked
+    converged.
 
     This is a lockstep batch of one start, the same stepper that
     `sandwich_test` and `basin_probe` run on all their starts at once.
     """
-    return _integrate_starts(sys, [s0], t_end, t0=t0, rtol=rtol, atol=atol,
+    return _integrate_starts(sys, [s0], t_end, rtol=rtol, atol=atol,
                              record_interval=record_interval,
-                             stop_tol=stop_tol, contain_tol=contain_tol)[0]
+                             stop_tol=stop_tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +355,9 @@ def detect_convergence(system_or_field, traj: Trajectory, window: float = None,
 def order_leq(s1: State, s2: State, tol: float = 0.0) -> bool:
     """The order the flow preserves: s1 <= s2 iff s2.x1 >= s1.x1 and
     s2.x2 <= s1.x2 entrywise (virus 1 up, virus 2 down)."""
-    return OrderCone(s1.n).leq(s1, s2, tol)
+    if s1.n != s2.n:
+        raise DomainError("state dimensions do not match")
+    return bool((s2.x1 >= s1.x1 - tol).all() and (s2.x2 <= s1.x2 + tol).all())
 
 
 def corner_states(n: int, eta: float):
@@ -397,8 +406,7 @@ def _jitter_pattern(dim: int, seed: int) -> np.ndarray:
 
 def sandwich_test(sys: BivirusSystem, eta: float = DEFAULT_ETA,
                   t_end: float = DEFAULT_T_END, tol: float = 1e-6, *,
-                  stop_tol: float = DEFAULT_STOP_TOL, rtol: float = 1e-9,
-                  atol: float = 1e-12, record_interval: float = 1.0,
+                  stop_tol: float = DEFAULT_STOP_TOL,
                   seed: int = 0) -> SandwichResult:
     """Integrate from the two eta-inset corners and compare limits.
 
@@ -409,12 +417,10 @@ def sandwich_test(sys: BivirusSystem, eta: float = DEFAULT_ETA,
     a corner still fails, the result is inconclusive and carries both
     partial trajectories.  A start shares its step sizes with the rest of
     its batch, so its limit may differ from a lone `integrate` run by
-    about `rtol`.
+    about the stepper's relative tolerance (1e-9).
     """
     corners = corner_states(sys.n, eta)
-    kw = dict(rtol=rtol, atol=atol, record_interval=record_interval,
-              stop_tol=stop_tol)
-    trajs = _integrate_starts(sys, corners, t_end, **kw)
+    trajs = _integrate_starts(sys, corners, t_end, stop_tol=stop_tol)
     failed = [i for i, tr in enumerate(trajs)
               if tr.outcome.kind != "converged"]
     if failed:
@@ -422,7 +428,8 @@ def sandwich_test(sys: BivirusSystem, eta: float = DEFAULT_ETA,
         retry_starts = [
             State.from_vector(np.clip(corners[i].as_vector() + bump, 0.0, 1.0))
             for i in failed]
-        retries = _integrate_starts(sys, retry_starts, t_end, **kw)
+        retries = _integrate_starts(sys, retry_starts, t_end,
+                                    stop_tol=stop_tol)
         for i, retry in zip(failed, retries):
             if retry.outcome.kind == "converged":
                 trajs[i] = retry
@@ -503,10 +510,10 @@ class ProbeResult:
         return counts
 
 
-def nearest_equilibrium(vectors, equilibria, match_tol: float = 1e-3):
+def nearest_equilibrium(vectors, equilibria):
     """For each state vector (one per row of `vectors`), the index in
     `equilibria` of the nearest equilibrium in the infinity norm, or
-    LABEL_UNRESOLVED when none lies within `match_tol`.  Ties go to the
+    LABEL_UNRESOLVED when none lies within MATCH_TOL.  Ties go to the
     earlier equilibrium."""
     v = np.atleast_2d(np.asarray(vectors, dtype=float))
     if not equilibria:
@@ -514,7 +521,7 @@ def nearest_equilibrium(vectors, equilibria, match_tol: float = 1e-3):
     targets = np.array([e.state.as_vector() for e in equilibria])
     dists = np.max(np.abs(v[:, None, :] - targets[None, :, :]), axis=2)
     k = np.argmin(dists, axis=1)
-    return np.where(dists[np.arange(len(v)), k] <= match_tol, k,
+    return np.where(dists[np.arange(len(v)), k] <= MATCH_TOL, k,
                     LABEL_UNRESOLVED)
 
 
@@ -584,18 +591,17 @@ class _AttractionBalls:
 
 
 def basin_probe(sys: BivirusSystem, equilibria, grid: GridSpec = None, *,
-                t_end: float = DEFAULT_T_END, match_tol: float = 1e-3,
-                rtol: float = 1e-9, atol: float = 1e-12,
-                record_interval: float = 5.0,
+                t_end: float = DEFAULT_T_END,
                 stop_tol: float = DEFAULT_STOP_TOL) -> ProbeResult:
     """Integrate from every grid start and label each run by the nearest
-    known equilibrium (infinity norm <= match_tol), or unresolved.
+    known equilibrium (`nearest_equilibrium`), or unresolved.
 
     `equilibria` is the output of enumerate_equilibria (or any list of
     Equilibrium); run the enumeration first so the labels mean something.
     All feasible, strictly interior starts run as one lockstep batch of the
-    `integrate` stepper; each start keeps its own stop rule, and its limit
-    may differ from a lone `integrate` run by about `rtol`.  Around every
+    `integrate` stepper, recording every 5 time units; each start keeps
+    its own stop rule, and its limit may differ from a lone `integrate`
+    run by about the stepper's relative tolerance (1e-9).  Around every
     stable entry the transformed Jacobian certifies a ball of attraction
     (see `_attraction_ball`); a start found at a record mark within half
     that radius has its limit certified, leaves the batch there and
@@ -621,8 +627,7 @@ def basin_probe(sys: BivirusSystem, equilibria, grid: GridSpec = None, *,
     balls = _AttractionBalls(sys, eq_list, stop_tol)
     retired = by_rule = 0
     if starts:
-        trajs = _integrate_starts(sys, starts, t_end, rtol=rtol, atol=atol,
-                                  record_interval=record_interval,
+        trajs = _integrate_starts(sys, starts, t_end, record_interval=5.0,
                                   stop_tol=stop_tol,
                                   retire=lambda y: balls.locate(y) >= 0)
         ends = np.array([traj.final_vector for traj in trajs])
@@ -630,7 +635,7 @@ def basin_probe(sys: BivirusSystem, equilibria, grid: GridSpec = None, *,
         in_ball = held >= 0
         ends[in_ball] = balls.centres[held[in_ball]]
         stopped = np.array([traj.outcome.kind == "converged" for traj in trajs])
-        nearest = nearest_equilibrium(ends, eq_list, match_tol)
+        nearest = nearest_equilibrium(ends, eq_list)
         for cell, end, k, ok in zip(cells, ends, nearest, in_ball | stopped):
             finals[cell] = end
             labels[cell] = k if ok else LABEL_UNRESOLVED

@@ -137,17 +137,17 @@ def spectral_abscissa(M) -> float:
     return _rightmost_eigenvalue(require_metzler(M, "spectral_abscissa input"))
 
 
-def classify_abscissa(s: float, tol: float = CLASSIFY_BAND) -> str:
-    """Map a spectral abscissa to {hurwitz, singular_boundary, unstable}."""
-    if s < -tol:
+def classify_abscissa(s: float) -> str:
+    """Map a spectral abscissa to {hurwitz, singular_boundary, unstable},
+    with the +-CLASSIFY_BAND band around zero reported as
+    `singular_boundary` (lines of equilibria sit exactly there)."""
+    if s < -CLASSIFY_BAND:
         return "hurwitz"
-    if s > tol:
+    if s > CLASSIFY_BAND:
         return "unstable"
     return "singular_boundary"
 
 
-def classify_metzler(M, tol: float = CLASSIFY_BAND) -> str:
-    """Stability class of a Metzler matrix, with a +-tol band around zero
-    reported as `singular_boundary` (lines of equilibria sit exactly there).
-    """
-    return classify_abscissa(spectral_abscissa(M), tol)
+def classify_metzler(M) -> str:
+    """Stability class of a Metzler matrix (see `classify_abscissa`)."""
+    return classify_abscissa(spectral_abscissa(M))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import bivirus as bv
-from bivirus import CASES, cli
+from bivirus import CASES, cli, equilibria, model, speclin
 from bivirus.model import State
 
 
@@ -204,6 +204,15 @@ class TestSandwichCmd:
         assert doc["conclusive"] is True
 
 
+class TestFlags:
+    def test_analyze_refuses_a_flag_it_does_not_read(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", case_config("case2"))
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["analyze", "--config", cfg, "--tol", "1e-3"])
+        assert exit_info.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
+
 class TestCasesCmd:
     def test_all_cells_pass(self, capsys):
         assert cli.main(["cases"]) == 0
@@ -260,3 +269,34 @@ class TestDeterminism:
         cli.main(["analyze", "--config", cfg, "--json"])
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestSpectralWorkOnce:
+    """A report validates its system once and computes each of R1, R2 and
+    the two cross-infection radii once, and each endemic profile once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {}
+        for mod, name in ((speclin, "spectral_radius"),
+                          (equilibria, "_endemic_profile"),
+                          (model, "validate")):
+            fn = getattr(mod, name)
+
+            def counted(*args, _fn=fn, _name=name, **kw):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _fn(*args, **kw)
+            monkeypatch.setattr(mod, name, counted)
+        return counts
+
+    EXPECTED = {"spectral_radius": 4, "_endemic_profile": 2, "validate": 1}
+
+    def test_build_analysis_report(self, calls):
+        cli.build_analysis_report(CASES["case2"].system())
+        assert calls == self.EXPECTED
+
+    def test_run_case(self, calls):
+        ok, _, _ = cli.run_case(CASES["case2"])
+        assert ok
+        assert calls == self.EXPECTED
+

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import bivirus as bv
-from bivirus import CASES, equilibria, model
+from bivirus import CASES, cases, equilibria, model
 from bivirus.exceptions import ConvergenceError, DomainError
 from bivirus.model import BivirusSystem, State
 
@@ -315,13 +315,14 @@ class TestSeveralCoexistenceRoots:
 def _newton_roots(sys, retire):
     """The deduplicated interior roots that `_newton_root` reaches from the
     default seeds, retiring seeds in the balls of known roots or not."""
-    ns, _, bars = equilibria._boundary_data(sys)
+    a = equilibria.analysis(sys)
+    ns = a.ns
     f = model.field(ns)
 
     def jac(v):
         return model.jacobian(ns, State.from_vector(v), tol=np.inf)
 
-    known = equilibria._KnownRoots(ns, bars, jac) if retire else None
+    known = equilibria._KnownRoots(ns, a.bars, jac) if retire else None
     roots = []
     for seed in equilibria.default_seed_grid(sys):
         v, rnorm, in_ball = equilibria._newton_root(f, jac, seed.as_vector(),
@@ -361,7 +362,8 @@ class TestNewtonRetirement:
 
     def test_seed_in_ball_retires_without_a_step(self):
         sys = _two_root_system(lifted=True)
-        ns, _, bars = equilibria._boundary_data(sys)
+        a = equilibria.analysis(sys)
+        ns = a.ns
         f = model.field(ns)
         steps = []
 
@@ -369,7 +371,7 @@ class TestNewtonRetirement:
             steps.append(v)
             return model.jacobian(ns, State.from_vector(v), tol=np.inf)
 
-        known = equilibria._KnownRoots(ns, bars, jac)
+        known = equilibria._KnownRoots(ns, a.bars, jac)
         e, r = known.centres[2], known.radii[2]   # (0, x2_bar)
         assert r > 0
         seed = e + 0.9 * r * np.linspace(-1.0, 1.0, e.size)
@@ -482,3 +484,30 @@ class TestConstructLine:
         sys, fam = bv.construct_equilibrium_line(B1, mu=1.0)
         enum = bv.enumerate_equilibria(sys)
         assert enum.line_degeneracy_suspected
+
+
+def _enumeration_doc(enum):
+    return [(e.kind, e.coordinates().tolist(), e.spectrum_class, e.abscissa,
+             e.residual, e.degenerate) for e in enum] + \
+        [enum.line_degeneracy_suspected]
+
+
+def _lifted_case2(n=20, seed=101):
+    rng = np.random.default_rng(seed)
+    block = np.full((n // 2, n // 2), 2.0 / n)
+
+    def noisy(M):
+        return M * (1.0 + 0.02 * rng.uniform(-1.0, 1.0, size=M.shape))
+
+    eye = np.eye(n)
+    return BivirusSystem(noisy(np.kron(cases.B1_SHARED, block)), eye,
+                         noisy(np.kron(CASES["case2"].B2, block)), eye)
+
+
+def test_enumeration_same_from_system_or_analysis():
+    systems = [CASES[name].system() for name in CASES] + [_lifted_case2()]
+    for sys in systems:
+        a = equilibria.analysis(sys)
+        assert equilibria.analysis(a) is a
+        assert _enumeration_doc(bv.enumerate_equilibria(a)) == \
+            _enumeration_doc(bv.enumerate_equilibria(sys))

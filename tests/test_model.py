@@ -4,7 +4,7 @@ import pytest
 import bivirus as bv
 from bivirus import CASES, model
 from bivirus.exceptions import DomainError, ValidationError
-from bivirus.model import BivirusSystem, OrderCone, State
+from bivirus.model import BivirusSystem, State
 
 import oracles
 from conftest import random_interior_state
@@ -204,18 +204,3 @@ class TestTransformedJacobian:
             assert np.allclose(lam_J, lam_P, atol=1e-10)
             assert bv.spectral_abscissa(PJP) == \
                 pytest.approx(max(lam_J.real), abs=1e-9)
-
-
-class TestOrderCone:
-    def test_p_self_inverse(self):
-        cone = OrderCone(3)
-        P = cone.P
-        assert np.array_equal(P @ P, np.eye(6))
-        assert list(cone.m) == [0, 0, 0, 1, 1, 1]
-
-    def test_leq(self):
-        cone = OrderCone(2)
-        a = State([0.1, 0.1], [0.5, 0.5])
-        b = State([0.2, 0.3], [0.4, 0.1])
-        assert cone.leq(a, b)
-        assert not cone.leq(b, a)

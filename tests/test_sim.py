@@ -121,6 +121,12 @@ class TestOrderLeq:
         s = State([0.2, 0.3], [0.1, 0.4])
         assert bv.order_leq(s, s)
 
+    def test_leq(self):
+        a = State([0.1, 0.1], [0.5, 0.5])
+        b = State([0.2, 0.3], [0.4, 0.1])
+        assert bv.order_leq(a, b)
+        assert not bv.order_leq(b, a)
+
     def test_cone_extremes(self):
         bottom = State(np.zeros(2), np.ones(2))
         top = State(np.ones(2), np.zeros(2))
