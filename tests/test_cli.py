@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -300,3 +304,29 @@ class TestSpectralWorkOnce:
         assert ok
         assert calls == self.EXPECTED
 
+
+class TestWithoutScipy:
+    """The library imports only numpy: importing it loads no scipy module,
+    and the bundled case studies run where any scipy import fails."""
+
+    def run_fresh(self, code):
+        src = str(Path(bv.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+
+    def test_import_loads_no_scipy(self):
+        proc = self.run_fresh(
+            "import sys, bivirus, bivirus.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_cases_run_with_scipy_blocked(self):
+        proc = self.run_fresh(
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import bivirus.cli\n"
+            "sys.exit(bivirus.cli.main(['cases']))")
+        assert proc.returncode == 0, proc.stderr
+        assert "ALL CELLS PASS" in proc.stdout

@@ -25,6 +25,11 @@ class TestIrreducible:
         with pytest.raises(DomainError):
             speclin.is_irreducible([[1.0, -0.1], [1.0, 1.0]])
 
+    @pytest.mark.parametrize("A", [np.ones((2, 3)), [[1.0, np.nan], [1.0, 1.0]]])
+    def test_non_square_or_non_finite_rejected(self, A):
+        with pytest.raises(DomainError):
+            speclin.is_irreducible(A)
+
     def test_random_patterns_match_transitive_closure(self):
         rng = np.random.default_rng(42)
         agree = 0
@@ -34,6 +39,39 @@ class TestIrreducible:
             assert speclin.is_irreducible(A) == expected
             agree += 1
         assert agree == 80
+
+    @staticmethod
+    def assert_matches_oracle(A, expected):
+        assert oracles.floyd_warshall_strongly_connected(A) == expected
+        assert speclin.is_irreducible(A) == expected
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 60])
+    def test_directed_cycle_and_broken_cycle(self, n):
+        # the cycle needs n breadth-first sweeps, the most any pattern needs
+        cycle = np.roll(np.eye(n), 1, axis=0)
+        self.assert_matches_oracle(cycle, True)
+        broken = cycle.copy()
+        broken[0, n - 1] = 0.0
+        self.assert_matches_oracle(broken, False)
+
+    def test_dense_blocks_joined_one_way_or_both(self):
+        rng = np.random.default_rng(3)
+        A = np.zeros((9, 9))
+        A[:4, :4] = rng.uniform(0.5, 2.0, (4, 4))
+        A[4:, 4:] = rng.uniform(0.5, 2.0, (5, 5))
+        A[5, 1] = 0.3
+        self.assert_matches_oracle(A, False)
+        self.assert_matches_oracle(A.T, False)
+        A[2, 7] = 0.3
+        self.assert_matches_oracle(A, True)
+
+    def test_weak_communities_pattern(self):
+        A = weak_communities(np.random.default_rng(11), 40, 1e-5, 2.0)
+        self.assert_matches_oracle(A, True)
+
+    @pytest.mark.parametrize("n", [2, 3, 10])
+    def test_zero_matrix_reducible(self, n):
+        self.assert_matches_oracle(np.zeros((n, n)), False)
 
 
 class TestSpectralRadius:
