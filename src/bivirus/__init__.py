@@ -28,9 +28,8 @@ from .equilibria import (Analysis, BoundaryVerdict, EnumerationResult,
                          find_coexistence_newton, single_virus_endemic,
                          solve_coexistence_n2, sufficient_conditions)
 from .sim import (GridSpec, Outcome, ProbeResult, SandwichResult, Trajectory,
-                  basin_probe, corner_states, detect_convergence,
-                  hyperrectangle_contains, integrate, order_leq,
-                  sandwich_test)
+                  basin_probe, corner_states, hyperrectangle_contains,
+                  integrate, order_leq, sandwich_test)
 from .cases import CASES, CaseStudy, demo_starts
 
 __version__ = "0.1.0"
@@ -48,7 +47,7 @@ __all__ = [
     "analysis", "single_virus_endemic", "boundary_stability", "sufficient_conditions",
     "solve_coexistence_n2", "find_coexistence_newton", "enumerate_equilibria",
     "construct_equilibrium_line",
-    "integrate", "detect_convergence", "order_leq", "corner_states",
+    "integrate", "order_leq", "corner_states",
     "sandwich_test", "hyperrectangle_contains", "basin_probe", "demo_starts",
     "DomainError", "ValidationError", "ConvergenceError", "IntegrationError",
 ]

@@ -70,7 +70,10 @@ def load_config(path):
     return cfg
 
 
-def system_from_config(cfg, path="<config>") -> BivirusSystem:
+def system_from_config(cfg, path="<config>", build=model.validate):
+    """build(system) for the config's system: the validated system itself,
+    or with build=equilibria.analysis its Analysis, validated once.  An
+    invalid system is a ConfigError naming the file."""
     spec = cfg.get("system")
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: missing 'system' object")
@@ -83,11 +86,9 @@ def system_from_config(cfg, path="<config>") -> BivirusSystem:
     D1 = np.asarray(spec.get("D1", np.eye(n)), dtype=float)
     D2 = np.asarray(spec.get("D2", np.eye(n)), dtype=float)
     try:
-        system = BivirusSystem(B1, D1, B2, D2)
-        model.validate(system)
+        return build(BivirusSystem(B1, D1, B2, D2))
     except (ValidationError, DomainError) as e:
         raise ConfigError(f"{path}: invalid system: {e}") from e
-    return system
 
 
 def states_from_config(cfg, n, path="<config>"):
@@ -239,8 +240,8 @@ def analysis_to_dict(rep: AnalysisReport) -> dict:
 
 def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
-    system = system_from_config(cfg, args.config)
-    rep = build_analysis_report(system)
+    rep = build_analysis_report(
+        system_from_config(cfg, args.config, equilibria.analysis))
     if args.json:
         text = json.dumps(analysis_to_dict(rep), indent=2) + "\n"
         name = "analysis.json"
@@ -275,14 +276,15 @@ def parse_trajectory_csv(text: str):
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    system = system_from_config(cfg, args.config)
+    a = system_from_config(cfg, args.config, equilibria.analysis)
+    system = a.system
     starts = states_from_config(cfg, system.n, args.config)
     if args.out is None:
         raise ConfigError("simulate requires --out for the CSV files")
     t_end = float(_setting(args, cfg, "t_end", sim.DEFAULT_T_END))
     tol = float(_setting(args, cfg, "tol", sim.DEFAULT_STOP_TOL))
     record = float(cfg.get("record_interval", 1.0))
-    eq_list = equilibria.enumerate_equilibria(system).equilibria
+    eq_list = equilibria.enumerate_equilibria(a).equilibria
     # Repeated kinds are told apart by a suffix: kind, kind_2, ...
     counts = {}
     eq_labels = []
@@ -412,15 +414,12 @@ def run_case(case: case_lib.CaseStudy, t_end: float = sim.DEFAULT_T_END):
     ok_all = True
     rep = build_analysis_report(a)
     enum = rep.enumeration
-    by_kind = {}
-    for e in enum:
-        by_kind.setdefault(e.kind, []).append(e)
 
     for kind, ref in case.reference.items():
         if ref is None:
-            ok, line = _grade_flag(f"{kind} count", len(by_kind.get(kind, [])), 0)
+            ok, line = _grade_flag(f"{kind} count", len(enum.of_kind(kind)), 0)
         else:
-            got = by_kind.get(kind, [])
+            got = enum.of_kind(kind)
             if len(got) != 1:
                 ok, line = False, (f"  [FAIL] {kind}: expected exactly one, "
                                    f"found {len(got)}")
@@ -432,7 +431,7 @@ def run_case(case: case_lib.CaseStudy, t_end: float = sim.DEFAULT_T_END):
         lines.append(line)
 
     for kind, expected in case.expected_class.items():
-        got = by_kind.get(kind, [])
+        got = enum.of_kind(kind)
         cls = got[0].spectrum_class if len(got) == 1 else "missing"
         ok, line = _grade_flag(f"{kind} class", cls, expected)
         ok_all &= ok
@@ -441,7 +440,7 @@ def run_case(case: case_lib.CaseStudy, t_end: float = sim.DEFAULT_T_END):
     # the spectral boundary test must agree with the Jacobian classification
     for verdict, kind in zip(rep.boundary,
                              ("boundary_virus1", "boundary_virus2")):
-        got = by_kind.get(kind, [])
+        got = enum.of_kind(kind)
         if verdict is None or len(got) != 1:
             ok, line = False, f"  [FAIL] {kind}: verdict/classification missing"
         else:
@@ -474,9 +473,10 @@ def run_case(case: case_lib.CaseStudy, t_end: float = sim.DEFAULT_T_END):
         ok, line = _grade_flag("sandwich split", res.agree, False)
         ok_all &= ok
         lines.append(line)
-        if not res.agree and by_kind.get("coexistence"):
-            inside = sim.hyperrectangle_contains(
-                res, by_kind["coexistence"][0].state, slack=1e-6)
+        coex = enum.of_kind("coexistence")
+        if not res.agree and coex:
+            inside = sim.hyperrectangle_contains(res, coex[0].state,
+                                                 slack=1e-6)
             ok, line = _grade_flag("coexistence point inside W", inside, True)
             ok_all &= ok
             lines.append(line)

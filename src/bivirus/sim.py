@@ -14,10 +14,14 @@ batch.  Each start keeps its own error test, containment guard and stop
 rule; sharing the step size means a batched start may end within about
 the relative tolerance (1e-9) of where a lone run would.
 
-A run stops once its field residual is at most `stop_tol` times the
-system's largest recovery rate and its state has stopped drifting: the
-residual is measured in units of the fastest recovery, so rescaling every
-rate (time) leaves the verdict unchanged.
+One rule (`_stop_rule`) decides whether a run converged: at a record,
+its field residual is at most `stop_tol` times the system's largest
+recovery rate and its state has stopped drifting over a trailing window.
+The residual is measured in units of the fastest recovery, so rescaling
+every rate (time) leaves the verdict unchanged.  A run the rule stops is
+`converged`; a run that reaches t_end unstopped is `budget_exhausted`.
+With `stop_tol=None` a run goes on to t_end and the same rule, at
+`DEFAULT_STOP_TOL`, judges its final record alone.
 
 `basin_probe` alone also retires a start early once it enters a certified
 ball of attraction around a stable equilibrium (from the logarithmic norm
@@ -70,6 +74,9 @@ MATCH_TOL = 1e-3
 
 @dataclass(frozen=True)
 class Outcome:
+    # Attracting cycles do not exist for generic bivirus systems (almost
+    # every start converges to an equilibrium; Hirsch, J. reine angew.
+    # Math. 383, 1988), so there is no third outcome.
     kind: str                  # converged | budget_exhausted
     state: State | None        # equilibrium candidate when converged
     residual: float
@@ -78,12 +85,12 @@ class Outcome:
 @dataclass
 class Trajectory:
     """Recorded solution: strictly increasing times, one flat state row per
-    record, plus the convergence verdict for the endpoint."""
+    record, plus the stop rule's verdict: `converged` when the rule stopped
+    the run at its last record, `budget_exhausted` otherwise."""
 
     times: np.ndarray
     states: np.ndarray
-    outcome: Outcome | None = None
-    n: int | None = None
+    outcome: Outcome
 
     @property
     def final_time(self) -> float:
@@ -92,9 +99,6 @@ class Trajectory:
     @property
     def final_vector(self) -> np.ndarray:
         return self.states[-1]
-
-    def state(self, i: int) -> State:
-        return State.from_vector(self.states[i])
 
     @property
     def final_state(self) -> State:
@@ -125,8 +129,9 @@ def _integrate_flat(f, y0, t0, t_end, rtol, atol, record_interval,
     states to their derivatives row by row.  The active rows share one
     step size: a step is accepted only when every active row passes its
     own RMS error test, and the next step size comes from the worst row.
-    Records fall on the uniform grid t0, t0 + record_interval, ...; steps
-    are shortened to land exactly on record marks, so records carry no
+    Records fall on the uniform grid t0, t0 + record_interval, ..., plus
+    a final record at t_end when t_end is off that grid; steps are
+    shortened to land exactly on record marks, so records carry no
     interpolation error.  The slope at the last stage of an accepted step
     is reused as the first stage of the next one, so a step costs six
     field evaluations.
@@ -135,10 +140,10 @@ def _integrate_flat(f, y0, t0, t_end, rtol, atol, record_interval,
     the active rows `rows` (clamping, invariant guards); it returns y
     itself when it changes nothing and a new array otherwise, never
     writing into y.  stop_check(t, rows, times, records, fy) is consulted
-    at record marks, with the record times, the recorded (m, d) arrays so
-    far and the slopes fy of the active rows at the mark, and returns a
-    boolean mask over `rows`; a row it stops is frozen with its own
-    records and leaves the batch.
+    at every record after t0, the final one included, with the record
+    times, the recorded (m, d) arrays so far and the slopes fy of the
+    active rows at the record, and returns a boolean mask over `rows`; a
+    row it stops is frozen with its own records and leaves the batch.
 
     Returns one (times, states, stopped) triple per row.
     """
@@ -158,7 +163,8 @@ def _integrate_flat(f, y0, t0, t_end, rtol, atol, record_interval,
     rec = min(record_interval, span)
     next_rec = t0 + rec
     h = min(1e-2, rec)
-    while rows.size and t < t_end - 1e-12 * max(1.0, abs(t_end)):
+    t_last = t_end - 1e-12 * max(1.0, abs(t_end))
+    while rows.size and t < t_last:
         h = min(h, t_end - t, next_rec - t)
         y5, err, f5 = _step_dp(f, y, h, fy)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
@@ -174,7 +180,7 @@ def _integrate_flat(f, y0, t0, t_end, rtol, atol, record_interval,
                     f5[moved] = f(guarded[moved])
                     y5 = guarded
             y, fy = y5, f5
-            if next_rec - t <= 1e-9 * max(1.0, rec):
+            if next_rec - t <= 1e-9 * max(1.0, rec) or t >= t_last:
                 frame = records[-1].copy()
                 frame[rows] = y
                 times.append(t)
@@ -195,11 +201,6 @@ def _integrate_flat(f, y0, t0, t_end, rtol, atol, record_interval,
             state = y[k] if rows is stepped else records[-1][r]
             raise IntegrationError(f"start {r}: step size underflow", t=t,
                                    state=state.copy(), start=r)
-    if rows.size and times[-1] < t - 1e-12:
-        frame = records[-1].copy()
-        frame[rows] = y
-        times.append(t)
-        records.append(frame)
     counts[rows] = len(times)
     stopped = np.ones(m, dtype=bool)
     stopped[rows] = False
@@ -240,13 +241,15 @@ def _rate_scale(sys):
     return float(max(np.diag(sys.D1).max(), np.diag(sys.D2).max()))
 
 
-def _stop_rule(stop_tol, rate, window, retire=None):
-    """Per-row early stop: field residual <= stop_tol * rate and no drift
-    beyond 10 stop_tol over a trailing window that is at least half
-    populated.  The residual is read from the slopes the stepper already
-    holds.  `retire`, when given, maps the current (k, d) states to a
-    boolean mask of rows to stop at once."""
+def _stop_rule(stop_tol, rate, window, retire=None, start=0.0):
+    """Per-row stop: field residual <= stop_tol * rate and no drift beyond
+    10 stop_tol over a trailing window that is at least half populated.
+    The residual is read from the slopes the stepper already holds.
+    `retire`, when given, maps the current (k, d) states to a boolean mask
+    of rows to stop at once.  Records before `start` stop nothing."""
     def stop_check(t, rows, times, records, fy):
+        if t < start:
+            return np.zeros(len(rows), dtype=bool)
         y = records[-1][rows]
         done = (np.zeros(len(rows), dtype=bool) if retire is None
                 else retire(y))
@@ -265,31 +268,33 @@ def _integrate_starts(sys, starts, t_end, *, rtol=1e-9, atol=1e-12,
                       record_interval=1.0, stop_tol=DEFAULT_STOP_TOL,
                       retire=None):
     """One lockstep batch of `integrate` runs from t = 0, one Trajectory
-    per start.  A row that `retire` (see `_stop_rule`) stops is marked
-    converged."""
+    per start.  A row that the stop rule or `retire` (see `_stop_rule`)
+    stops is converged; any other row is budget_exhausted.
+
+    The drift window is 10% of t_end, capped at 20 time units but never
+    shorter than two record steps.  With stop_tol None the rule judges
+    only the final record, at DEFAULT_STOP_TOL."""
     starts = [State(np.asarray(s.x1, float), np.asarray(s.x2, float))
               for s in starts]
     for s in starts:
         model.require_in_feasible_set(s)
-    n = sys.n
     f = model.field(sys)
-    stop_check = (None if stop_tol is None else
-                  _stop_rule(stop_tol, _rate_scale(sys),
-                             min(20.0, 0.1 * t_end), retire))
+    window = max(min(20.0, 0.1 * t_end), 2.0 * min(record_interval, t_end))
+    start = 0.0
+    if stop_tol is None:   # judge the stepper's last record only
+        stop_tol, start = DEFAULT_STOP_TOL, t_end - 1e-12 * max(1.0, t_end)
+    stop_check = _stop_rule(stop_tol, _rate_scale(sys), window, retire, start)
     runs = _integrate_flat(
         f, np.array([s.as_vector() for s in starts]), 0.0, t_end, rtol, atol,
-        record_interval, post_step=_containment_guard(n),
+        record_interval, post_step=_containment_guard(sys.n),
         stop_check=stop_check)
     residuals = np.max(np.abs(f(np.array([r[1][-1] for r in runs]))), axis=1)
     trajs = []
     for (times, states, stopped), res in zip(runs, residuals):
-        traj = Trajectory(times=times, states=states, n=n)
-        if stopped:
-            traj.outcome = Outcome("converged", traj.final_state, float(res))
-        else:
-            traj.outcome = detect_convergence(
-                sys, traj, tol=stop_tol or DEFAULT_STOP_TOL)
-        trajs.append(traj)
+        outcome = (Outcome("converged", State.from_vector(states[-1]),
+                           float(res)) if stopped
+                   else Outcome("budget_exhausted", None, float(res)))
+        trajs.append(Trajectory(times, states, outcome))
     return trajs
 
 
@@ -302,11 +307,13 @@ def integrate(sys: BivirusSystem, s0: State, t_end: float = DEFAULT_T_END,
 
     After every accepted step, entries caught in [-1e-12, 0) are clamped to
     zero and the feasible-set constraints are checked; violations beyond
-    `model.CONTAINMENT_TOL` abort rather than being masked.  When
-    `stop_tol` is set, the run ends early once the field residual stays
-    below `stop_tol` times the largest recovery rate and the state has
-    stopped drifting over a trailing window, and the trajectory is marked
-    converged.
+    `model.CONTAINMENT_TOL` abort rather than being masked.  The run ends
+    at the first record (t_end included) where the field residual is at
+    most `stop_tol` times the largest recovery rate and the state has
+    stopped drifting over a trailing window (`_stop_rule`); it is then
+    marked converged, and a run that reaches t_end unstopped
+    budget_exhausted.  With `stop_tol=None` the run always reaches t_end
+    and that rule, at DEFAULT_STOP_TOL, judges its final record.
 
     This is a lockstep batch of one start, the same stepper that
     `sandwich_test` and `basin_probe` run on all their starts at once.
@@ -314,39 +321,6 @@ def integrate(sys: BivirusSystem, s0: State, t_end: float = DEFAULT_T_END,
     return _integrate_starts(sys, [s0], t_end, rtol=rtol, atol=atol,
                              record_interval=record_interval,
                              stop_tol=stop_tol)[0]
-
-
-# ---------------------------------------------------------------------------
-# convergence detection
-
-def detect_convergence(system_or_field, traj: Trajectory, window: float = None,
-                       tol: float = DEFAULT_STOP_TOL) -> Outcome:
-    """Classify the tail of a trajectory.
-
-    converged: endpoint residual <= tol in units of the largest recovery
-    rate (when given a system; a bare field has unit scale) and no drift
-    beyond tol over the trailing window (default 10% of the recorded
-    span).  Anything else: budget_exhausted.  Attracting cycles do not
-    exist for generic bivirus systems (almost every start converges to an
-    equilibrium; Hirsch, J. reine angew. Math. 383, 1988), so there is no
-    third outcome.
-    """
-    if isinstance(system_or_field, BivirusSystem):
-        f = model.field(system_or_field)
-        rate = _rate_scale(system_or_field)
-    else:
-        f, rate = system_or_field, 1.0
-    y_end = traj.states[-1]
-    res = float(np.max(np.abs(f(y_end))))
-    span = traj.times[-1] - traj.times[0]
-    if window is None:
-        window = 0.1 * span
-    win_y = traj.states[traj.times >= traj.times[-1] - window]
-    drift = float(np.max(np.abs(win_y - y_end))) if len(win_y) else 0.0
-    if res <= tol * rate and drift <= tol:
-        state = State.from_vector(y_end) if traj.n is not None else None
-        return Outcome("converged", state, res)
-    return Outcome("budget_exhausted", None, res)
 
 
 # ---------------------------------------------------------------------------
@@ -470,19 +444,15 @@ def hyperrectangle_contains(result: SandwichResult, s: State,
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Grid of initial conditions (a * profile1, b * profile2) over scalar
-    intensity ranges.  Default profiles are the all-ones vectors."""
+    """An n_a x n_b grid of initial conditions (a * 1, b * 1) with the
+    intensities a and b evenly spaced over [0.05, 0.9]."""
 
     n_a: int = 10
     n_b: int = 10
-    a_range: tuple = (0.05, 0.9)
-    b_range: tuple = (0.05, 0.9)
-    profile1: np.ndarray | None = None
-    profile2: np.ndarray | None = None
 
     def axes(self):
-        return (np.linspace(self.a_range[0], self.a_range[1], self.n_a),
-                np.linspace(self.b_range[0], self.b_range[1], self.n_b))
+        return (np.linspace(0.05, 0.9, self.n_a),
+                np.linspace(0.05, 0.9, self.n_b))
 
 
 #: Label values in ProbeResult.labels below any equilibrium index.
@@ -502,12 +472,6 @@ class ProbeResult:
     a_values: np.ndarray
     b_values: np.ndarray
     legend: list               # kind strings, one per equilibrium index
-
-    def label_counts(self):
-        counts = {}
-        for lab in self.labels.ravel():
-            counts[int(lab)] = counts.get(int(lab), 0) + 1
-        return counts
 
 
 def nearest_equilibrium(vectors, equilibria):
@@ -612,14 +576,13 @@ def basin_probe(sys: BivirusSystem, equilibria, grid: GridSpec = None, *,
     legend = [e.kind for e in eq_list]
     a_vals, b_vals = grid.axes()
     n = sys.n
-    p1 = grid.profile1 if grid.profile1 is not None else np.ones(n)
-    p2 = grid.profile2 if grid.profile2 is not None else np.ones(n)
+    ones = np.ones(n)
     labels = np.full((len(a_vals), len(b_vals)), LABEL_INVALID, dtype=int)
     finals = np.full((len(a_vals), len(b_vals), 2 * n), np.nan)
     cells, starts = [], []
     for i, a in enumerate(a_vals):
         for j, b in enumerate(b_vals):
-            s0 = State(a * p1, b * p2)
+            s0 = State(a * ones, b * ones)
             if (model.in_feasible_set(s0, 0.0)
                     and model.is_strictly_interior(s0)):
                 cells.append((i, j))
@@ -636,7 +599,7 @@ def basin_probe(sys: BivirusSystem, equilibria, grid: GridSpec = None, *,
         ends[in_ball] = balls.centres[held[in_ball]]
         stopped = np.array([traj.outcome.kind == "converged" for traj in trajs])
         nearest = nearest_equilibrium(ends, eq_list)
-        for cell, end, k, ok in zip(cells, ends, nearest, in_ball | stopped):
+        for cell, end, k, ok in zip(cells, ends, nearest, stopped):
             finals[cell] = end
             labels[cell] = k if ok else LABEL_UNRESOLVED
         retired = int(np.count_nonzero(in_ball))

@@ -276,13 +276,15 @@ class TestDeterminism:
 
 
 class TestSpectralWorkOnce:
-    """A report validates its system once and computes each of R1, R2 and
-    the two cross-infection radii once, and each endemic profile once."""
+    """A report, like the analyze and simulate commands, validates its
+    system once and computes each of R1, R2 and the two cross-infection
+    radii once, and each endemic profile once."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         counts = {}
         for mod, name in ((speclin, "spectral_radius"),
+                          (speclin, "is_irreducible"),
                           (equilibria, "_endemic_profile"),
                           (model, "validate")):
             fn = getattr(mod, name)
@@ -293,7 +295,8 @@ class TestSpectralWorkOnce:
             monkeypatch.setattr(mod, name, counted)
         return counts
 
-    EXPECTED = {"spectral_radius": 4, "_endemic_profile": 2, "validate": 1}
+    EXPECTED = {"spectral_radius": 4, "is_irreducible": 6,
+                "_endemic_profile": 2, "validate": 1}
 
     def test_build_analysis_report(self, calls):
         cli.build_analysis_report(CASES["case2"].system())
@@ -303,6 +306,22 @@ class TestSpectralWorkOnce:
         ok, _, _ = cli.run_case(CASES["case2"])
         assert ok
         assert calls == self.EXPECTED
+
+    def test_analyze_command(self, calls, tmp_path):
+        cfg = write_config(tmp_path / "c.json", case_config("case2"))
+        assert cli.main(["analyze", "--config", cfg]) == 0
+        assert calls == self.EXPECTED
+
+    def test_simulate_command(self, calls, tmp_path):
+        # no boundary verdicts: two spectral radii and two irreducibility
+        # tests fewer than a report
+        doc = case_config("case2", initial_conditions=[
+            {"x1": [0.3, 0.3], "x2": [0.2, 0.2]}])
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert cli.main(["simulate", "--config", cfg,
+                         "--out", str(tmp_path / "out")]) == 0
+        assert calls == {"spectral_radius": 2, "is_irreducible": 4,
+                         "_endemic_profile": 2, "validate": 1}
 
 
 class TestWithoutScipy:

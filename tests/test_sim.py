@@ -9,9 +9,9 @@ import bivirus as bv
 from bivirus import CASES, model, sim
 from bivirus.exceptions import DomainError, IntegrationError
 from bivirus.model import BivirusSystem, State
-from bivirus.sim import Trajectory, _integrate_flat, _integrate_starts
+from bivirus.sim import _integrate_flat, _integrate_starts
 
-from conftest import random_ordered_pair
+from conftest import random_interior_state, random_ordered_pair
 
 B1 = np.array([[1.6, 1.0], [1.0, 1.6]])
 EYE = np.eye(2)
@@ -76,14 +76,16 @@ class TestIntegrate:
 
 
 class TestDetectConvergence:
+    """The stop rule is the one convergence test: a run it stops is
+    converged and any other run budget_exhausted."""
+
     def test_at_rest(self):
         sys = CASES["case3"].system()
-        (eq,) = [e for e in bv.enumerate_equilibria(sys)
-                 if e.kind == "coexistence"]
+        (eq,) = bv.enumerate_equilibria(sys).of_kind("coexistence")
         traj = bv.integrate(sys, eq.state, 50.0, stop_tol=None)
-        out = bv.detect_convergence(sys, traj)
-        assert out.kind == "converged"
-        assert np.max(np.abs(out.state.as_vector() - eq.coordinates())) <= 1e-8
+        assert traj.outcome.kind == "converged"
+        assert np.max(np.abs(traj.outcome.state.as_vector()
+                             - eq.coordinates())) <= 1e-8
 
     def test_case4_limit(self):
         sys = CASES["case4"].system()
@@ -94,11 +96,65 @@ class TestDetectConvergence:
 
     def test_steady_drift_is_budget_exhausted(self):
         f = lambda y: np.zeros_like(y) + np.array([0.01, 0.0])
-        times, states, _ = _integrate_flat(f, np.zeros((1, 2)), 0.0, 40.0,
-                                           1e-9, 1e-12, 0.5)[0]
-        traj = Trajectory(times=times, states=states)
-        out = bv.detect_convergence(f, traj, window=15.0, tol=1e-9)
-        assert out.kind == "budget_exhausted"
+        (_, _, stopped), = _integrate_flat(
+            f, np.zeros((1, 2)), 0.0, 40.0, 1e-9, 1e-12, 0.5,
+            stop_check=sim._stop_rule(1e-9, 1.0, 15.0))
+        assert not stopped
+
+    @pytest.mark.parametrize("window,stops", [(30.0, False), (5.0, True)])
+    def test_drift_below_the_residual_bound(self, window, stops):
+        # A slope of 9e-10 passes the residual test at stop_tol 1e-9 but
+        # drifts 1.35e-8 over half of a 30-unit window (the least the rule
+        # judges from), beyond the 1e-8 drift bound.
+        f = lambda y: np.zeros_like(y) + np.array([9e-10, 0.0])
+        (_, _, stopped), = _integrate_flat(
+            f, np.zeros((1, 2)), 0.0, 40.0, 1e-9, 1e-12, 0.5,
+            stop_check=sim._stop_rule(1e-9, 1.0, window))
+        assert stopped == stops
+
+    def test_stop_tol_none_agrees_with_the_default(self):
+        # stop_tol=None runs to t_end and is judged there by the same rule
+        # that stops a default run early.
+        rng = np.random.default_rng(5)
+        for name in ("case2", "case3", "case4"):
+            sys = CASES[name].system()
+            for _ in range(3):
+                s0 = random_interior_state(rng, 2)
+                for t_end in (10.0, 20.0, 30.0, 40.0, 50.0, 60.0):
+                    full = bv.integrate(sys, s0, t_end, stop_tol=None)
+                    early = bv.integrate(sys, s0, t_end)
+                    assert full.final_time == pytest.approx(t_end)
+                    assert full.outcome.kind == early.outcome.kind, (name,
+                                                                     t_end)
+                    if full.outcome.kind == "converged":
+                        assert np.max(np.abs(full.final_vector
+                                             - early.final_vector)) <= 1e-7
+
+    @pytest.mark.parametrize("stop_tol", [sim.DEFAULT_STOP_TOL, None])
+    def test_short_horizon_at_rest(self, stop_tol):
+        # t_end = 5 makes 10% of the horizon half a record step; the drift
+        # window still spans two records.
+        sys = CASES["case3"].system()
+        (eq,) = bv.enumerate_equilibria(sys).of_kind("coexistence")
+        traj = bv.integrate(sys, eq.state, 5.0, record_interval=1.0,
+                            stop_tol=stop_tol)
+        assert traj.outcome.kind == "converged"
+
+    def test_off_grid_t_end_is_judged(self):
+        seen = []
+
+        def spy(t, rows, times, records, fy):
+            seen.append(t)
+            return np.zeros(len(rows), dtype=bool)
+
+        _integrate_flat(lambda y: -y, np.ones((1, 1)), 0.0, 50.5, 1e-9,
+                        1e-12, 1.0, stop_check=spy)
+        assert seen[-1] == pytest.approx(50.5) and len(seen) == 51
+        sys = CASES["case3"].system()
+        (eq,) = bv.enumerate_equilibria(sys).of_kind("coexistence")
+        traj = bv.integrate(sys, eq.state, 50.5, stop_tol=None)
+        assert traj.final_time == pytest.approx(50.5)
+        assert traj.outcome.kind == "converged"
 
 
 class TestRateScale:
