@@ -70,6 +70,19 @@ def load_config(path):
     return cfg
 
 
+def _numeric(value, what, path, kind=float):
+    """kind(value); a value it rejects is a ConfigError naming the file."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{path}: {what} must be numeric, "
+                          f"got {value!r}") from e
+
+
+def _floats(value):
+    return np.asarray(value, dtype=float)
+
+
 def system_from_config(cfg, path="<config>", build=model.validate):
     """build(system) for the config's system: the validated system itself,
     or with build=equilibria.analysis its Analysis, validated once.  An
@@ -80,11 +93,10 @@ def system_from_config(cfg, path="<config>", build=model.validate):
     missing = [k for k in ("B1", "B2") if k not in spec]
     if missing:
         raise ConfigError(f"{path}: system lacks {', '.join(missing)}")
-    B1 = np.asarray(spec["B1"], dtype=float)
-    B2 = np.asarray(spec["B2"], dtype=float)
+    B1, B2 = (_numeric(spec[k], k, path, _floats) for k in ("B1", "B2"))
     n = B1.shape[0] if B1.ndim == 2 else 0
-    D1 = np.asarray(spec.get("D1", np.eye(n)), dtype=float)
-    D2 = np.asarray(spec.get("D2", np.eye(n)), dtype=float)
+    D1, D2 = (_numeric(spec.get(k, np.eye(n)), k, path, _floats)
+              for k in ("D1", "D2"))
     try:
         return build(BivirusSystem(B1, D1, B2, D2))
     except (ValidationError, DomainError) as e:
@@ -99,9 +111,9 @@ def states_from_config(cfg, n, path="<config>"):
     for i, item in enumerate(raw):
         try:
             s = State(np.asarray(item["x1"], float), np.asarray(item["x2"], float))
-        except (KeyError, TypeError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"{path}: initial_conditions[{i}] needs "
-                              f"'x1' and 'x2' arrays") from e
+                              f"'x1' and 'x2' arrays of numbers") from e
         if s.n != n:
             raise ConfigError(f"{path}: initial_conditions[{i}] has "
                               f"dimension {s.n}, system has {n}")
@@ -109,11 +121,13 @@ def states_from_config(cfg, n, path="<config>"):
     return states
 
 
-def _setting(args, cfg, key, default):
+def _setting(args, cfg, key, default, kind=float):
+    """The command's flag for key when given, else the config's value (or
+    default) as kind."""
     cli_val = getattr(args, key, None)
     if cli_val is not None:
         return cli_val
-    return cfg.get(key, default)
+    return _numeric(cfg.get(key, default), key, args.config, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +295,9 @@ def cmd_simulate(args) -> int:
     starts = states_from_config(cfg, system.n, args.config)
     if args.out is None:
         raise ConfigError("simulate requires --out for the CSV files")
-    t_end = float(_setting(args, cfg, "t_end", sim.DEFAULT_T_END))
-    tol = float(_setting(args, cfg, "tol", sim.DEFAULT_STOP_TOL))
-    record = float(cfg.get("record_interval", 1.0))
+    t_end = _setting(args, cfg, "t_end", sim.DEFAULT_T_END)
+    tol = _setting(args, cfg, "tol", sim.DEFAULT_STOP_TOL)
+    record = _setting(args, cfg, "record_interval", 1.0)
     eq_list = equilibria.enumerate_equilibria(a).equilibria
     # Repeated kinds are told apart by a suffix: kind, kind_2, ...
     counts = {}
@@ -371,11 +385,11 @@ def render_sandwich_text(res: sim.SandwichResult) -> str:
 def cmd_sandwich(args) -> int:
     cfg = load_config(args.config)
     system = system_from_config(cfg, args.config)
-    eta = float(_setting(args, cfg, "eta", sim.DEFAULT_ETA))
-    t_end = float(_setting(args, cfg, "t_end", sim.DEFAULT_T_END))
-    tol = float(_setting(args, cfg, "tol", sim.DEFAULT_STOP_TOL))
-    agree_tol = float(cfg.get("agree_tol", 1e-6))
-    seed = int(_setting(args, cfg, "seed", 0))
+    eta = _setting(args, cfg, "eta", sim.DEFAULT_ETA)
+    t_end = _setting(args, cfg, "t_end", sim.DEFAULT_T_END)
+    tol = _setting(args, cfg, "tol", sim.DEFAULT_STOP_TOL)
+    agree_tol = _setting(args, cfg, "agree_tol", 1e-6)
+    seed = _setting(args, cfg, "seed", 0, int)
     res = sim.sandwich_test(system, eta=eta, t_end=t_end, tol=agree_tol,
                             stop_tol=tol, seed=seed)
     if args.json:
@@ -532,10 +546,12 @@ def cmd_construct_line(args) -> int:
     cfg = load_config(args.config)
     if "B1" not in cfg:
         raise ConfigError(f"{args.config}: construct-line config needs 'B1'")
-    B1 = np.asarray(cfg["B1"], dtype=float)
-    mu = float(cfg.get("mu", 1.0))
+    B1 = _numeric(cfg["B1"], "B1", args.config, _floats)
+    mu = _setting(args, cfg, "mu", 1.0)
     c_matrix = cfg.get("c_matrix")
-    blend = float(cfg.get("blend_weight", 1.0))
+    if c_matrix is not None:
+        c_matrix = _numeric(c_matrix, "c_matrix", args.config, _floats)
+    blend = _setting(args, cfg, "blend_weight", 1.0)
     try:
         system, family = equilibria.construct_equilibrium_line(
             B1, mu=mu, c_matrix=c_matrix, blend_weight=blend)

@@ -10,9 +10,12 @@ equilibrium must sit inside the hyperrectangle spanned by the two limits.
 Every run goes through one Dormand-Prince 5(4) stepper that advances a
 batch of starts in lockstep: `integrate` is a batch of one, the sandwich
 corners are a batch of two and `basin_probe` runs its whole grid as one
-batch.  Each start keeps its own error test, containment guard and stop
-rule; sharing the step size means a batched start may end within about
-the relative tolerance (1e-9) of where a lone run would.
+batch, all at tolerances `RTOL` and `ATOL`.  Each start keeps its own
+error test, containment check and stop rule; sharing the step size means
+a batched start may end within about `RTOL` of where a lone run would.
+The exact flow keeps the feasible set invariant, so the containment check
+only watches for drift: an accepted state within `model.CONTAINMENT_TOL`
+of it passes untouched, and one beyond aborts the run.
 
 One rule (`_stop_rule`) decides whether a run converged: at a record,
 its field residual is at most `stop_tol` times the system's largest
@@ -59,10 +62,9 @@ _DP_A = [
 _DP_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
                     22 / 525, -1 / 40])
 
-#: Negative entries no deeper than this are clamped to exactly zero after
-#: an accepted step; anything between this and the containment tolerance
-#: rides along untouched, and worse than that aborts the run.
-CLAMP_DEPTH = 1e-12
+#: Relative and absolute error tolerances of every bivirus run.
+RTOL = 1e-9
+ATOL = 1e-12
 
 DEFAULT_ETA = 1e-3
 DEFAULT_T_END = 2000.0
@@ -74,12 +76,11 @@ MATCH_TOL = 1e-3
 
 @dataclass(frozen=True)
 class Outcome:
+    """How a run ended; a converged run ends at `Trajectory.final_state`."""
     # Attracting cycles do not exist for generic bivirus systems (almost
     # every start converges to an equilibrium; Hirsch, J. reine angew.
     # Math. 383, 1988), so there is no third outcome.
     kind: str                  # converged | budget_exhausted
-    state: State | None        # equilibrium candidate when converged
-    residual: float
 
 
 @dataclass
@@ -122,7 +123,7 @@ def _step_dp(f, y, h, fy):
 
 
 def _integrate_flat(f, y0, t0, t_end, rtol, atol, record_interval,
-                    post_step=None, stop_check=None):
+                    guard=None, stop_check=None):
     """Adaptive RK5(4) on a batch of starts advanced in lockstep.
 
     y0 is an (m, d) array, one start per row, and f maps a (k, d) array of
@@ -136,14 +137,13 @@ def _integrate_flat(f, y0, t0, t_end, rtol, atol, record_interval,
     is reused as the first stage of the next one, so a step costs six
     field evaluations.
 
-    post_step(t, y, rows) may adjust or reject the accepted states y of
-    the active rows `rows` (clamping, invariant guards); it returns y
-    itself when it changes nothing and a new array otherwise, never
-    writing into y.  stop_check(t, rows, times, records, fy) is consulted
-    at every record after t0, the final one included, with the record
-    times, the recorded (m, d) arrays so far and the slopes fy of the
-    active rows at the record, and returns a boolean mask over `rows`; a
-    row it stops is frozen with its own records and leaves the batch.
+    guard(t, y, rows) checks the accepted states y of the active rows
+    `rows` and raises to abort the run; it never changes them.
+    stop_check(t, rows, times, records, fy) is consulted at every record
+    after t0, the final one included, with the record times, the recorded
+    (m, d) arrays so far and the slopes fy of the active rows at the
+    record, and returns a boolean mask over `rows`; a row it stops is
+    frozen with its own records and leaves the batch.
 
     Returns one (times, states, stopped) triple per row.
     """
@@ -173,12 +173,8 @@ def _integrate_flat(f, y0, t0, t_end, rtol, atol, record_interval,
         stepped = rows
         if worst <= 1.0:
             t = t + h
-            if post_step is not None:
-                guarded = post_step(t, y5, rows)
-                if guarded is not y5:
-                    moved = (guarded != y5).any(axis=1)
-                    f5[moved] = f(guarded[moved])
-                    y5 = guarded
+            if guard is not None:
+                guard(t, y5, rows)
             y, fy = y5, f5
             if next_rec - t <= 1e-9 * max(1.0, rec) or t >= t_last:
                 frame = records[-1].copy()
@@ -214,12 +210,11 @@ def _integrate_flat(f, y0, t0, t_end, rtol, atol, record_interval,
 # bivirus integration
 
 def _containment_guard(n):
+    """A `guard` raising IntegrationError, naming the start, on a state
+    beyond `model.CONTAINMENT_TOL` of the feasible set."""
     tol = model.CONTAINMENT_TOL
 
     def guard(t, y, rows):
-        tiny = (y >= -CLAMP_DEPTH) & (y < 0.0)
-        if tiny.any():
-            y = np.where(tiny, 0.0, y)
         sums = y[:, :n] + y[:, n:]
         cap = 1.0 + tol
         if y.min() < -tol or y.max() > cap or sums.max() > cap:
@@ -231,7 +226,6 @@ def _containment_guard(n):
                 f"start {r}: feasible-set invariant violated beyond "
                 f"tolerance (min {lo[k]:.3e}, max nodewise sum "
                 f"{top[k]:.6f})", t=t, state=y[k].copy(), start=r)
-        return y
     return guard
 
 
@@ -264,9 +258,8 @@ def _stop_rule(stop_tol, rate, window, retire=None, start=0.0):
     return stop_check
 
 
-def _integrate_starts(sys, starts, t_end, *, rtol=1e-9, atol=1e-12,
-                      record_interval=1.0, stop_tol=DEFAULT_STOP_TOL,
-                      retire=None):
+def _integrate_starts(sys, starts, t_end, *, record_interval=1.0,
+                      stop_tol=DEFAULT_STOP_TOL, retire=None):
     """One lockstep batch of `integrate` runs from t = 0, one Trajectory
     per start.  A row that the stop rule or `retire` (see `_stop_rule`)
     stops is converged; any other row is budget_exhausted.
@@ -285,29 +278,23 @@ def _integrate_starts(sys, starts, t_end, *, rtol=1e-9, atol=1e-12,
         stop_tol, start = DEFAULT_STOP_TOL, t_end - 1e-12 * max(1.0, t_end)
     stop_check = _stop_rule(stop_tol, _rate_scale(sys), window, retire, start)
     runs = _integrate_flat(
-        f, np.array([s.as_vector() for s in starts]), 0.0, t_end, rtol, atol,
-        record_interval, post_step=_containment_guard(sys.n),
+        f, np.array([s.as_vector() for s in starts]), 0.0, t_end, RTOL, ATOL,
+        record_interval, guard=_containment_guard(sys.n),
         stop_check=stop_check)
-    residuals = np.max(np.abs(f(np.array([r[1][-1] for r in runs]))), axis=1)
-    trajs = []
-    for (times, states, stopped), res in zip(runs, residuals):
-        outcome = (Outcome("converged", State.from_vector(states[-1]),
-                           float(res)) if stopped
-                   else Outcome("budget_exhausted", None, float(res)))
-        trajs.append(Trajectory(times, states, outcome))
-    return trajs
+    return [Trajectory(times, states,
+                       Outcome("converged" if stopped else "budget_exhausted"))
+            for times, states, stopped in runs]
 
 
 def integrate(sys: BivirusSystem, s0: State, t_end: float = DEFAULT_T_END,
-              *, rtol: float = 1e-9, atol: float = 1e-12,
-              record_interval: float = 1.0,
+              *, record_interval: float = 1.0,
               stop_tol: float | None = DEFAULT_STOP_TOL) -> Trajectory:
-    """Integrate the bivirus dynamics from s0 at t = 0 to t_end and record
-    at a uniform stride.
+    """Integrate the bivirus dynamics from s0 at t = 0 to t_end, at the
+    tolerances `RTOL` and `ATOL`, and record at a uniform stride.
 
-    After every accepted step, entries caught in [-1e-12, 0) are clamped to
-    zero and the feasible-set constraints are checked; violations beyond
-    `model.CONTAINMENT_TOL` abort rather than being masked.  The run ends
+    Every accepted state is checked against the feasible set: drift within
+    `model.CONTAINMENT_TOL` passes untouched, and drift beyond it aborts
+    the run with an IntegrationError rather than being masked.  The run ends
     at the first record (t_end included) where the field residual is at
     most `stop_tol` times the largest recovery rate and the state has
     stopped drifting over a trailing window (`_stop_rule`); it is then
@@ -318,7 +305,7 @@ def integrate(sys: BivirusSystem, s0: State, t_end: float = DEFAULT_T_END,
     This is a lockstep batch of one start, the same stepper that
     `sandwich_test` and `basin_probe` run on all their starts at once.
     """
-    return _integrate_starts(sys, [s0], t_end, rtol=rtol, atol=atol,
+    return _integrate_starts(sys, [s0], t_end,
                              record_interval=record_interval,
                              stop_tol=stop_tol)[0]
 
@@ -355,14 +342,14 @@ class SandwichResult:
     When both corner runs converge and agree, every interior initial
     condition shares the common limit.  When they disagree, all interior
     limits lie in the closed hyperrectangle spanned by (limit_A, limit_B)
-    and an unstable equilibrium sits strictly inside it.
+    (`hyperrectangle_contains`) and an unstable equilibrium sits strictly
+    inside it.  `jittered` says which corners were retried.
     """
 
     limit_A: State | None
     limit_B: State | None
     eta: float
     agree: bool
-    hyperrectangle: tuple | None
     conclusive: bool
     traj_A: Trajectory
     traj_B: Trajectory
@@ -374,8 +361,7 @@ class SandwichResult:
 
 
 def _jitter_pattern(dim: int, seed: int) -> np.ndarray:
-    signs = np.array([1.0 if (i + seed) % 2 == 0 else -1.0 for i in range(dim)])
-    return signs
+    return np.array([1.0 if (i + seed) % 2 == 0 else -1.0 for i in range(dim)])
 
 
 def sandwich_test(sys: BivirusSystem, eta: float = DEFAULT_ETA,
@@ -391,7 +377,7 @@ def sandwich_test(sys: BivirusSystem, eta: float = DEFAULT_ETA,
     a corner still fails, the result is inconclusive and carries both
     partial trajectories.  A start shares its step sizes with the rest of
     its batch, so its limit may differ from a lone `integrate` run by
-    about the stepper's relative tolerance (1e-9).
+    about `RTOL`.
     """
     corners = corner_states(sys.n, eta)
     trajs = _integrate_starts(sys, corners, t_end, stop_tol=stop_tol)
@@ -414,14 +400,12 @@ def sandwich_test(sys: BivirusSystem, eta: float = DEFAULT_ETA,
     limit_A = traj_A.final_state if ok_A else None
     limit_B = traj_B.final_state if ok_B else None
     agree = False
-    rect = None
     if conclusive:
         gap = float(np.max(np.abs(limit_A.as_vector() - limit_B.as_vector())))
         agree = gap <= tol
-        rect = (limit_A, limit_B)
     return SandwichResult(limit_A=limit_A, limit_B=limit_B, eta=eta,
-                          agree=agree, hyperrectangle=rect,
-                          conclusive=conclusive, traj_A=traj_A, traj_B=traj_B,
+                          agree=agree, conclusive=conclusive,
+                          traj_A=traj_A, traj_B=traj_B,
                           jittered=(0 in failed, 1 in failed))
 
 
@@ -429,7 +413,7 @@ def hyperrectangle_contains(result: SandwichResult, s: State,
                             slack: float = 1e-6) -> bool:
     """Membership of a state in the closed hyperrectangle spanned by the
     two sandwich limits (axis-parallel box with those corners)."""
-    if not result.conclusive or result.hyperrectangle is None:
+    if not result.conclusive:
         raise DomainError("sandwich result is inconclusive; no hyperrectangle")
     a = result.limit_A.as_vector()
     b = result.limit_B.as_vector()
@@ -554,18 +538,17 @@ class _AttractionBalls:
         return np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
 
 
-def basin_probe(sys: BivirusSystem, equilibria, grid: GridSpec = None, *,
-                t_end: float = DEFAULT_T_END,
-                stop_tol: float = DEFAULT_STOP_TOL) -> ProbeResult:
+def basin_probe(sys: BivirusSystem, equilibria,
+                grid: GridSpec = None) -> ProbeResult:
     """Integrate from every grid start and label each run by the nearest
     known equilibrium (`nearest_equilibrium`), or unresolved.
 
     `equilibria` is the output of enumerate_equilibria (or any list of
     Equilibrium); run the enumeration first so the labels mean something.
     All feasible, strictly interior starts run as one lockstep batch of the
-    `integrate` stepper, recording every 5 time units; each start keeps
-    its own stop rule, and its limit may differ from a lone `integrate`
-    run by about the stepper's relative tolerance (1e-9).  Around every
+    `integrate` stepper up to DEFAULT_T_END, recording every 5 time units;
+    each start keeps its own stop rule at DEFAULT_STOP_TOL, and its limit
+    may differ from a lone `integrate` run by about `RTOL`.  Around every
     stable entry the transformed Jacobian certifies a ball of attraction
     (see `_attraction_ball`); a start found at a record mark within half
     that radius has its limit certified, leaves the batch there and
@@ -587,11 +570,11 @@ def basin_probe(sys: BivirusSystem, equilibria, grid: GridSpec = None, *,
                     and model.is_strictly_interior(s0)):
                 cells.append((i, j))
                 starts.append(s0)
-    balls = _AttractionBalls(sys, eq_list, stop_tol)
+    balls = _AttractionBalls(sys, eq_list, DEFAULT_STOP_TOL)
     retired = by_rule = 0
     if starts:
-        trajs = _integrate_starts(sys, starts, t_end, record_interval=5.0,
-                                  stop_tol=stop_tol,
+        trajs = _integrate_starts(sys, starts, DEFAULT_T_END,
+                                  record_interval=5.0,
                                   retire=lambda y: balls.locate(y) >= 0)
         ends = np.array([traj.final_vector for traj in trajs])
         held = balls.locate(ends)

@@ -208,6 +208,39 @@ class TestSandwichCmd:
         assert doc["conclusive"] is True
 
 
+def _malformed(doc, where, value):
+    if where == "initial_conditions":
+        doc[where] = [value]
+    elif where in doc["system"]:
+        doc["system"][where] = value
+    else:
+        doc[where] = value
+    return doc
+
+
+class TestMalformedNumbers:
+    """A config value that is not a number (or not a rectangular array of
+    numbers) is a config error naming the file, not a traceback."""
+
+    @pytest.mark.parametrize("command, where, value", [
+        ("analyze", "B1", [[1.6, 1], [1, "x"]]),
+        ("analyze", "B1", [[1.6, 1], [1]]),
+        ("simulate", "initial_conditions",
+         {"x1": [0.1, "a"], "x2": [0.2, 0.2]}),
+        ("sandwich", "t_end", "long"),
+    ], ids=["B1_entry", "B1_ragged", "x1_entry", "t_end"])
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, command, where,
+                                     value):
+        doc = _malformed(case_config("case2"), where, value)
+        cfg = write_config(tmp_path / "bad.json", doc)
+        argv = [command, "--config", cfg]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "runs")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and cfg in err
+
+
 class TestFlags:
     def test_analyze_refuses_a_flag_it_does_not_read(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", case_config("case2"))
