@@ -12,6 +12,14 @@ matrices there are finitely many; a special construction below produces
 the nongeneric alternative, a whole line segment of coexistence
 equilibria.
 
+For n > 2 the coexistence equilibria are found by damped Newton from a
+grid of seeds.  The seeds step in lockstep (`_newton_root`): each
+iteration assembles the Jacobians of every seed still running as one
+stack and solves them with one stacked `np.linalg.solve`, so at small n
+the cost is the arithmetic rather than one round of Python-level numpy
+calls per seed.  The endemic profiles are the same solver's batches of
+one.
+
 Every analysis of a system accepts the system or its `Analysis`: the
 validated system with its recovery-normalized rates, (R1, R2) and both
 endemic profiles.  Build that context once with `analysis` and hand it to
@@ -39,6 +47,14 @@ INTERIOR_FLOOR = 1e-7
 #: Largest infinity-norm field residual at which a Newton iterate counts
 #: as a root.
 NEWTON_TOL = 1e-10
+#: Byte budget of one lockstep batch's Jacobian stack in the coexistence
+#: search: all of the at most 81 seeds fit up to n = 14, then 40 at n = 20,
+#: 10 at n = 40 and 1 at n = 100, so memory stays flat in n.
+NEWTON_BATCH_BYTES = 512 * 1024
+#: The endemic solve stops once every |F_i| is within this many ulps of
+#: d_i x_i.  F_i sums two positive terms that balance at the profile, each
+#: about d_i x_i, so its rounding error is a few ulps of d_i x_i.
+ENDEMIC_FLOOR_ULPS = 4
 
 KIND_HEALTHY = "healthy"
 KIND_BOUNDARY_1 = "boundary_virus1"
@@ -118,6 +134,13 @@ class LineFamily:
 
 @dataclass(frozen=True)
 class EnumerationResult:
+    """Every equilibrium found, in the order healthy, boundary,
+    coexistence.  `line_degeneracy_suspected` is True when some equilibrium
+    is classified on the singular boundary: a line of equilibria, or just
+    a critical boundary equilibrium (rho_cross within the classification
+    band of 1), which reads True without any line (see
+    `enumerate_equilibria`)."""
+
     equilibria: list[Equilibrium]
     line_degeneracy_suspected: bool = False
 
@@ -167,8 +190,8 @@ def single_virus_endemic(B, D, tol: float = 1e-12):
     Returns None when rho(D^{-1} B) <= 1 (the virus dies out); otherwise
     the unique strictly positive profile x with -D x + (I - X) B x = 0,
     found by monotone Newton from x = 1 (see `_endemic_profile`).  The
-    solve has no iteration cap of its own: it runs until no step lowers
-    the residual, and a profile whose residual is then still above `tol`
+    solve runs until its residual reaches the rounding floor or no step
+    lowers it, and a profile whose residual is then still above `tol`
     raises ConvergenceError, naming that residual, rather than being
     returned.
     """
@@ -186,23 +209,35 @@ def _endemic_profile(B, d, tol=1e-12):
     """The solve behind `single_virus_endemic`, for a B already known to be
     nonnegative, irreducible and supercritical against the rates d.
 
-    Damped Newton (`_newton_root`) on F(x) = -d o x + (1 - x) o (B x),
-    started at x = 1 and run to the rounding floor.  F(1) = -d < 0, so the
-    start is a supersolution; along steps s <= 0 the curvature of F_i is
-    -2 s_i (B s)_i <= 0, and the Jacobian (1 - x) B - diag(d + B x) is a
-    nonsingular -M-matrix at and above the profile.  Every full or damped
-    step therefore stays a supersolution at or above the profile, and the
-    iterates fall monotonically to it (Ortega & Rheinboldt, Iterative
-    Solution of Nonlinear Equations in Several Variables, 1970, 13.3),
-    however close the reproduction number is to 1.
+    Damped Newton (`_newton_root`, a batch of one row) on
+    F(x) = -d o x + (1 - x) o (B x), started at x = 1.  It stops at the
+    rounding floor, once every |F_i| is within ENDEMIC_FLOOR_ULPS ulps of
+    d_i x_i, instead of spending one more Jacobian and solve to learn that
+    no step helps; should the floor not be reached, it stops when no step
+    helps.  F(1) = -d < 0, so the start is a supersolution; along steps
+    s <= 0 the curvature of F_i is -2 s_i (B s)_i <= 0, and the Jacobian
+    (1 - x) B - diag(d + B x) is a nonsingular -M-matrix at and above the
+    profile.  Every full or damped step therefore stays a supersolution at
+    or above the profile, and the iterates fall monotonically to it
+    however close the reproduction number is to 1 (Ortega & Rheinboldt,
+    Iterative Solution of Nonlinear Equations in Several Variables, 1970,
+    13.3).
     """
+    diag = np.arange(len(d))
+
     def f(x):
-        return -d * x + (1.0 - x) * (B @ x)
+        return -d * x + (1.0 - x) * (x @ B.T)
 
     def jac(x):
-        return (1.0 - x)[:, None] * B - np.diag(d + B @ x)
+        J = (1.0 - x)[..., None] * B
+        J[..., diag, diag] -= d + x @ B.T
+        return J
 
-    x, rnorm, _ = _newton_root(f, jac, np.ones(len(d)), 0.0)
+    def rounding_floor(x):
+        return ENDEMIC_FLOOR_ULPS * np.finfo(float).eps * d * x
+
+    (x,), (rnorm,), _ = _newton_root(f, jac, np.ones((1, len(d))),
+                                     rounding_floor)
     if not rnorm <= tol:
         raise ConvergenceError(f"endemic Newton stalled at residual "
                                f"{rnorm:.3e} > tol {tol:.1e}", iterate=x)
@@ -435,8 +470,8 @@ class _KnownRoots:
         # ||v - w||_inf, hence this infinity-norm Lipschitz constant.
         self._lipschitz = 4.0 * max(ns.B1.sum(axis=1).max(),
                                     ns.B2.sum(axis=1).max())
-        self.centres = []
-        self.radii = []
+        self.centres = np.empty((0, 2 * ns.n))
+        self.radii = np.empty(0)
         x1bar, x2bar = bars
         zero = np.zeros(ns.n)
         self.add(np.zeros(2 * ns.n))
@@ -446,100 +481,186 @@ class _KnownRoots:
             self.add(np.concatenate([zero, x2bar]))
 
     def add(self, v):
-        if any(np.max(np.abs(v - c)) <= DEDUP_RADIUS for c in self.centres):
+        if (np.abs(self.centres - v).max(axis=1) <= DEDUP_RADIUS).any():
             return
-        self.centres.append(v)
-        self.radii.append(_ball_radius(self._jac(v), self._lipschitz))
+        self.centres = np.vstack([self.centres, v])
+        self.radii = np.append(self.radii,
+                               _ball_radius(self._jac(v), self._lipschitz))
 
-    def contains(self, v) -> bool:
-        return any(np.max(np.abs(v - c)) < r
-                   for c, r in zip(self.centres, self.radii))
+    def contains(self, V):
+        """Whether each row of V lies inside a ball."""
+        dist = np.abs(V[:, None, :] - self.centres).max(axis=-1)
+        return (dist < self.radii).any(axis=-1)
+
+
+def _newton_steps(J, r):
+    """The Newton steps -J^-1 r of a stack of rows, by one stacked solve.
+
+    A row whose step is not finite or exceeds 1e6 in some entry takes the
+    least-squares step instead.  A singular J makes the stacked solve
+    raise; the rows are then solved one by one, so only the singular ones
+    fall back."""
+    try:
+        steps = np.linalg.solve(J, -r[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        steps = np.full_like(r, np.nan)
+        for i in range(len(r)):
+            try:
+                steps[i] = np.linalg.solve(J[i], -r[i])
+            except np.linalg.LinAlgError:
+                pass
+    if not np.abs(steps).max() <= 1e6:   # a NaN compares False too
+        for i in np.flatnonzero(~(np.abs(steps).max(axis=-1) <= 1e6)):
+            steps[i] = np.linalg.lstsq(J[i], -r[i], rcond=None)[0]
+    return steps
+
+
+def _line_search(f, v, r, rnorm, steps):
+    """Backtracking on each row: the largest of 1, 1/2, 1/4, ... >= 1e-4
+    times its step that strictly lowers its residual norm.  Each halving
+    round is one f call over the rows still searching.  Returns the new
+    (v, r, rnorm) and a mask of the rows that no step lowered, which keep
+    their old values (False when every row took its full step)."""
+    trial = v + steps
+    r_try = f(trial)
+    n_try = np.abs(r_try).max(axis=-1)
+    better = n_try < rnorm
+    if better.all():
+        return trial, r_try, n_try, False
+    v = np.where(better[:, None], trial, v)
+    r = np.where(better[:, None], r_try, r)
+    rnorm = np.where(better, n_try, rnorm)
+    searching = np.flatnonzero(~better)
+    lam = 0.5
+    while searching.size and lam >= 1e-4:
+        trial = v[searching] + lam * steps[searching]
+        r_try = f(trial)
+        n_try = np.abs(r_try).max(axis=-1)
+        better = n_try < rnorm[searching]
+        done = searching[better]
+        v[done], r[done] = trial[better], r_try[better]
+        rnorm[done] = n_try[better]
+        searching = searching[~better]
+        lam *= 0.5
+    stagnated = np.zeros(len(v), dtype=bool)
+    stagnated[searching] = True
+    return v, r, rnorm, stagnated
 
 
 def _newton_root(f, jac, v0, tol, known=None, max_iter=80):
-    """Damped Newton iteration.  Returns the final iterate, its residual
-    and whether it stopped inside a ball of `known` (a _KnownRoots), which
-    is checked before every step."""
-    v = v0.copy()
+    """Damped Newton in lockstep over the rows of v0, one start per row.
+
+    f maps rows of shape (m, k) to their residuals and jac to their
+    Jacobians, shape (m, k, k).  Each iteration assembles the Jacobians
+    of every row still running as one stack, solves them together
+    (`_newton_steps`) and runs the line search of every row together
+    (`_line_search`).  A row stops when
+    - it has converged: its residual's infinity norm is at most `tol`, or,
+      when `tol` is a function, every entry of |f| is at most the
+      same entry of tol(row);
+    - it lies in the ball of a root of `known` (a _KnownRoots), checked
+      before every step;
+    - no step lowers its residual (it stagnated);
+    - or it has taken `max_iter` steps.
+    A converged row joins `known` at once, so rows still running retire
+    in its ball.  Returns the final rows, the infinity norms of their
+    residuals and a mask of the rows that stopped in a ball.
+    """
+    def converged(v, r, rnorm):
+        if callable(tol):
+            return (np.abs(r) <= tol(v)).all(axis=-1)
+        return rnorm <= tol
+
+    v = np.array(v0, dtype=float)
     r = f(v)
-    rnorm = np.max(np.abs(r))
-    for _ in range(max_iter):
-        if known is not None and known.contains(v):
-            return v, rnorm, True
-        if rnorm <= tol:
-            return v, rnorm, False
-        J = jac(v)
-        try:
-            step = np.linalg.solve(J, -r)
-            if not np.isfinite(step).all() or np.max(np.abs(step)) > 1e6:
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-        lam = 1.0
-        while lam >= 1e-4:
-            v_try = v + lam * step
-            r_try = f(v_try)
-            r_try_norm = np.max(np.abs(r_try))
-            if r_try_norm < rnorm:
-                v, r, rnorm = v_try, r_try, r_try_norm
+    rnorm = np.abs(r).max(axis=-1)
+    # every row's final state, filled in as the row stops
+    V, rnorm_out = np.empty_like(v), np.empty_like(rnorm)
+    in_ball = np.zeros(len(v), dtype=bool)
+    rows = np.arange(len(v))   # the output positions of the running rows
+    stagnated = False
+    for it in range(max_iter + 1):
+        done = converged(v, r, rnorm)
+        stop = done | stagnated
+        if known is not None:
+            ball = known.contains(v)
+            stop |= ball
+        if stop.any():
+            if known is not None:
+                in_ball[rows] = ball
+                for i in np.flatnonzero(done & ~ball):
+                    known.add(v[i])
+            V[rows[stop]], rnorm_out[rows[stop]] = v[stop], rnorm[stop]
+            keep = ~stop
+            rows, v, r, rnorm = rows[keep], v[keep], r[keep], rnorm[keep]
+            if not rows.size:
                 break
-            lam *= 0.5
-        else:
-            return v, rnorm, False  # stagnated
-    return v, rnorm, False
+        if it == max_iter:
+            V[rows], rnorm_out[rows] = v, rnorm
+            break
+        steps = _newton_steps(jac(v), r)
+        v, r, rnorm, stagnated = _line_search(f, v, r, rnorm, steps)
+    return V, rnorm_out, in_ball
 
 
 def find_coexistence_newton(sys: BivirusSystem | Analysis, seeds=None):
     """Coexistence equilibria by damped Newton from a family of seeds.
 
-    A seed converges when its residual falls to NEWTON_TOL.  Converged
-    roots are kept only when strictly interior (every entry
-    positive and every nodewise sum below one, so the all-or-nothing
-    zero-pattern of genuine equilibria is respected), deduplicated at
-    1e-6 in the infinity norm after a lexicographic sort.  A seed whose
-    iterate enters the certified convergence ball of a root already known
-    (the healthy state, a boundary equilibrium, or a root an earlier seed
-    reached) is retired there: it could only end at that root, a duplicate
-    or not interior.  Per-seed failures are logged, not raised; a seed
-    with a NaN or infinite entry raises DomainError.  On a system carrying
-    a line of equilibria the points of the line have singular Jacobians,
-    hence balls of radius 0 or next to it, so no seed retires there; the
-    returned points are many and carry spectrum_class ==
-    'singular_boundary'.
+    The seeds run through `_newton_root` in lockstep batches, as many per
+    batch as keep its Jacobian stack within NEWTON_BATCH_BYTES (every
+    default seed up to n = 14, 10 seeds at n = 40, one at n = 100).  A seed
+    converges when its residual falls to NEWTON_TOL.  Converged roots are
+    kept only when strictly interior (every entry positive and every
+    nodewise sum below one, so the all-or-nothing zero-pattern of genuine
+    equilibria is respected), deduplicated at 1e-6 in the infinity norm
+    after a lexicographic sort.  A seed whose iterate enters the certified
+    convergence ball of a root already known (the healthy state, a
+    boundary equilibrium, or a root that any seed reached, in its own
+    batch or an earlier one) is retired there: it could only end at that
+    root, a duplicate or not interior.  Per-seed failures are counted in
+    the DEBUG log, not raised; a seed with a NaN or infinite entry raises
+    DomainError.  On a system carrying a line of equilibria the points of
+    the line have singular Jacobians, hence balls of radius 0 or next to
+    it, so no seed retires there; the returned points are many and carry
+    spectrum_class == 'singular_boundary'.
     """
     a = analysis(sys)
     ns = a.ns
+    k = 2 * ns.n
     if seeds is None:
         seeds = default_seed_grid(a)
+    starts = np.array([s.as_vector() if isinstance(s, State) else s
+                       for s in seeds], dtype=float).reshape(len(seeds), k)
+    if not np.isfinite(starts).all():
+        raise DomainError("newton seed has a NaN or infinite entry")
     f = model.field(ns)
+    jac_rows = 0
 
     # Damped Newton accepts only steps that strictly lower a finite
     # residual, so iterates from a finite seed stay finite and the
     # Jacobian needs no containment check.
     def jac(v):
-        return model.jacobian(ns, State.from_vector(v), tol=np.inf)
+        nonlocal jac_rows
+        jac_rows += v.size // k
+        return model.jacobian(ns, v)
 
     known = _KnownRoots(ns, a.bars, jac)
+    batches = range(0, len(starts),
+                    max(1, NEWTON_BATCH_BYTES // (8 * k * k)))
     roots = []
-    failures = retired = 0
-    for seed in seeds:
-        v0 = seed.as_vector() if isinstance(seed, State) else np.asarray(seed, float)
-        if not np.isfinite(v0).all():
-            raise DomainError("newton seed has a NaN or infinite entry")
-        v, rnorm, in_ball = _newton_root(f, jac, v0, NEWTON_TOL, known)
-        if in_ball:
-            retired += 1
-            continue
-        if rnorm > NEWTON_TOL:
-            failures += 1
-            continue
-        known.add(v)
-        s = State.from_vector(v)
-        if model.is_strictly_interior(s, INTERIOR_FLOOR):
-            roots.append(s)
-    log.debug("newton search: %d seeds converged, %d retired, %d failed; "
-              "ball radii %.3g to %.3g", len(seeds) - retired - failures,
-              retired, failures, min(known.radii), max(known.radii))
+    converged = retired = 0
+    for lo in batches:
+        v, rnorm, in_ball = _newton_root(
+            f, jac, starts[lo:lo + batches.step], NEWTON_TOL, known)
+        root = ~in_ball & (rnorm <= NEWTON_TOL)
+        converged += int(root.sum())
+        retired += int(in_ball.sum())
+        roots += [s for s in map(State.from_vector, v[root])
+                  if model.is_strictly_interior(s, INTERIOR_FLOOR)]
+    log.debug("newton search: %d seeds converged, %d retired, %d failed "
+              "in %d lockstep batches, %d Jacobian rows; ball radii %.3g "
+              "to %.3g", converged, retired, len(starts) - converged - retired,
+              len(batches), jac_rows, known.radii.min(), known.radii.max())
     return [_make_equilibrium(a.system, s, KIND_COEXISTENCE)
             for s in _dedup(roots)]
 
@@ -564,8 +685,12 @@ def enumerate_equilibria(sys: BivirusSystem | Analysis,
     quadratic for n = 2, seeded Newton otherwise).
 
     `line_degeneracy_suspected` is set when any equilibrium sits on the
-    singular boundary of the classification band; that is the numerical
-    signature of the nongeneric line-of-equilibria construction.
+    singular boundary of the classification band.  That is the numerical
+    signature of the nongeneric line-of-equilibria construction, but a
+    critical boundary equilibrium raises it too, line or not: at a
+    transcritical switch, where rho_cross of a boundary equilibrium passes
+    1 (case2 with B2 scaled to c* +- 1e-10, say), the flag reads True on
+    a system that has no line.
     """
     a = analysis(sys)
     sys, (x1bar, x2bar) = a.system, a.bars

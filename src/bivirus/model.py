@@ -233,30 +233,43 @@ def residual(sys: BivirusSystem, s: State) -> float:
     return float(np.max(np.abs(field(sys)(s.as_vector()))))
 
 
-def jacobian(sys: BivirusSystem, s: State,
+def jacobian(sys: BivirusSystem, s,
              tol: float = CONTAINMENT_TOL) -> np.ndarray:
     """Dense 2n x 2n Jacobian of the dynamics at state s.
 
     Blocks: [[-D1 + S B1 - T1, -T1], [-T2, -D2 + S B2 - T2]] with
-    S = diag(1 - x1 - x2) and Ti = diag(Bi xi).  `tol=np.inf` skips the
-    containment check (Newton iterates may leave the feasible set).
+    S = diag(1 - x1 - x2) and Ti = diag(Bi xi).  A State is checked
+    against the feasible set with slack `tol` (`tol=np.inf` skips that).
+    Like `field`, s may instead be an unchecked array of shape (..., 2n),
+    one flat state per row (Newton iterates may leave the feasible set);
+    the result then has shape (..., 2n, 2n), one Jacobian per row, so a
+    stack of Jacobians costs one call.
     """
-    if tol < np.inf:
-        require_in_feasible_set(s, tol)
+    if isinstance(s, State):
+        if tol < np.inf:
+            require_in_feasible_set(s, tol)
+        v = s.as_vector()
+    else:
+        v = np.asarray(s, dtype=float)
     n = sys.n
-    x1, x2 = s.x1, s.x2
-    shrink = (1.0 - x1 - x2)[:, None]
-    t1 = sys.B1 @ x1
-    t2 = sys.B2 @ x2
-    J = np.zeros((2 * n, 2 * n))
-    j11, j22 = J[:n, :n], J[n:, n:]
-    np.multiply(shrink, sys.B1, out=j11)
-    np.multiply(shrink, sys.B2, out=j22)
-    diag = np.arange(n)
-    j11[diag, diag] = j11[diag, diag] - np.diag(sys.D1) - t1
-    j22[diag, diag] = j22[diag, diag] - np.diag(sys.D2) - t2
-    J[diag, n + diag] = -t1
-    J[n + diag, diag] = -t2
+    x1, x2 = v[..., :n], v[..., n:]
+    shrink = (1.0 - x1 - x2)[..., None]
+    t1 = x1 @ sys.B1.T
+    t2 = x2 @ sys.B2.T
+    J = np.zeros(v.shape[:-1] + (2 * n, 2 * n))
+    np.multiply(shrink, sys.B1, out=J[..., :n, :n])
+    np.multiply(shrink, sys.B2, out=J[..., n:, n:])
+    # Each diagonal of an n x n block is a strided view of the flattened J.
+    flat = J.reshape(v.shape[:-1] + (4 * n * n,))
+    k = 2 * n + 1
+    corner = 2 * n * n   # flat index of (n, 0)
+    d11, d22 = flat[..., :corner:k], flat[..., corner + n::k]
+    d11 -= sys.D1.diagonal()
+    d11 -= t1
+    d22 -= sys.D2.diagonal()
+    d22 -= t2
+    np.negative(t1, out=flat[..., n:corner:k])
+    np.negative(t2, out=flat[..., corner::k])
     return J
 
 

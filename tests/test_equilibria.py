@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -320,13 +322,13 @@ def _newton_roots(sys, retire):
     f = model.field(ns)
 
     def jac(v):
-        return model.jacobian(ns, State.from_vector(v), tol=np.inf)
+        return model.jacobian(ns, v)
 
     known = equilibria._KnownRoots(ns, a.bars, jac) if retire else None
     roots = []
     for seed in equilibria.default_seed_grid(sys):
-        v, rnorm, in_ball = equilibria._newton_root(f, jac, seed.as_vector(),
-                                                    1e-10, known)
+        (v,), (rnorm,), (in_ball,) = equilibria._newton_root(
+            f, jac, seed.as_vector()[None], 1e-10, known)
         if in_ball or rnorm > 1e-10:
             continue
         if known is not None:
@@ -369,20 +371,90 @@ class TestNewtonRetirement:
 
         def jac(v):
             steps.append(v)
-            return model.jacobian(ns, State.from_vector(v), tol=np.inf)
+            return model.jacobian(ns, v)
 
         known = equilibria._KnownRoots(ns, a.bars, jac)
         e, r = known.centres[2], known.radii[2]   # (0, x2_bar)
         assert r > 0
         seed = e + 0.9 * r * np.linspace(-1.0, 1.0, e.size)
         steps.clear()
-        v, _, in_ball = equilibria._newton_root(f, jac, seed, 1e-10, known)
+        (v,), _, (in_ball,) = equilibria._newton_root(f, jac, seed[None],
+                                                      1e-10, known)
         assert in_ball and not steps
         assert np.array_equal(v, seed)
         # and Newton from there does end at e
-        v, rnorm, in_ball = equilibria._newton_root(f, jac, seed, 1e-10)
+        (v,), (rnorm,), (in_ball,) = equilibria._newton_root(f, jac,
+                                                             seed[None], 1e-10)
         assert not in_ball and rnorm <= 1e-10
         assert np.max(np.abs(v - e)) <= 1e-9
+
+
+def _newton_parts(sys):
+    a = equilibria.analysis(sys)
+    ns = a.ns
+    return a, model.field(ns), lambda v: model.jacobian(ns, v)
+
+
+class TestLockstepNewton:
+    def test_batch_rows_match_lone_runs(self):
+        rng = np.random.default_rng(31)
+        for sys in (_two_root_system(lifted=True),
+                    random_supercritical_system(rng, 5)):
+            a, f, jac = _newton_parts(sys)
+            starts = np.array([s.as_vector()
+                               for s in equilibria.default_seed_grid(a)])
+            v, rnorm, in_ball = equilibria._newton_root(f, jac, starts, 1e-10)
+            assert not in_ball.any()
+            for i, start in enumerate(starts):
+                (w,), (r,), _ = equilibria._newton_root(f, jac, start[None],
+                                                        1e-10)
+                assert np.max(np.abs(v[i] - w)) <= 1e-12
+                assert (r <= 1e-10) == (rnorm[i] <= 1e-10)
+
+    def test_singular_row_leaves_regular_rows_alone(self):
+        # run to the rounding floor (tol 0), so the point of case1's line,
+        # whose residual is one rounding error, steps with its singular J
+        a, f, jac = _newton_parts(CASES["case1"].system())
+        z = a.bars[0]
+        on_line = np.concatenate([z / 3.0, 2.0 * z / 3.0])
+        assert np.linalg.matrix_rank(jac(on_line)) < 4
+        assert np.max(np.abs(f(on_line))) > 0.0
+        direction = np.array([1.0, 0.5, 0.8, 0.3])
+        starts = np.array([0.02 * direction, 0.05 * direction, on_line,
+                           0.1 * direction])
+        v, rnorm, _ = equilibria._newton_root(f, jac, starts, 0.0)
+        assert np.max(np.abs(v[2] - on_line)) <= 1e-12
+        for i in (0, 1, 3):
+            (w,), (r,), _ = equilibria._newton_root(f, jac, starts[i][None],
+                                                    0.0)
+            assert np.max(np.abs(v[i] - w)) <= 1e-12
+            assert rnorm[i] == r <= 1e-15
+
+    def test_singular_stack_falls_back_row_by_row(self):
+        rng = np.random.default_rng(8)
+        J = rng.uniform(size=(3, 4, 4)) + 4.0 * np.eye(4)
+        J[1] = 0.0
+        r = rng.uniform(size=(3, 4))
+        steps = equilibria._newton_steps(J, r)
+        for i in (0, 2):
+            assert np.allclose(steps[i], np.linalg.solve(J[i], -r[i]),
+                               rtol=1e-14, atol=0.0)
+        # the least-squares step of J = 0 is the zero step
+        assert np.array_equal(steps[1], np.zeros(4))
+
+    def test_search_memory_bounded_at_n100(self):
+        # One lockstep batch of every default seed at n = 100 would stack
+        # about 74 Jacobians of 320 KB; the byte budget keeps the search's
+        # allocation peak near one Jacobian and its solve.
+        a = equilibria.analysis(_lifted_case2(n=100))
+        tracemalloc.start()
+        try:
+            found = bv.find_coexistence_newton(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(found) == 1
+        assert peak <= 3 * 2**20
 
 
 class TestEnumerate:
@@ -483,6 +555,18 @@ class TestConstructLine:
     def test_newton_near_line_flags_degeneracy(self):
         sys, fam = bv.construct_equilibrium_line(B1, mu=1.0)
         enum = bv.enumerate_equilibria(sys)
+        assert enum.line_degeneracy_suspected
+
+    @pytest.mark.parametrize("dc", [-1e-10, 1e-10])
+    def test_critical_boundary_without_line_flags_degeneracy(self, dc):
+        # case2 with B2 scaled next to c*, where rho_cross of (0, x2_bar)
+        # passes 1: no line, yet the critical boundary raises the flag
+        c_star = 0.9498439582505509
+        sys = BivirusSystem(cases.B1_SHARED, EYE,
+                            (c_star + dc) * CASES["case2"].B2, EYE)
+        assert bv.boundary_stability(sys)[1].verdict == "critical"
+        enum = bv.enumerate_equilibria(sys)
+        assert not enum.of_kind("coexistence")
         assert enum.line_degeneracy_suspected
 
 

@@ -176,6 +176,29 @@ class TestJacobian:
             assert np.abs(J - J_fd).max() / denom <= 1e-6
 
 
+    def test_stack_matches_single_states(self):
+        # heterogeneous recovery rates, so the diagonal blocks' -D terms
+        # are checked too, and rows outside the feasible set, which the
+        # array form (for Newton iterates) does not refuse
+        rng = np.random.default_rng(21)
+        n = 5
+        sys = BivirusSystem(rng.uniform(0.1, 1.0, (n, n)),
+                            rng.uniform(0.5, 2.0, n),
+                            rng.uniform(0.1, 1.0, (n, n)),
+                            rng.uniform(0.5, 2.0, n))
+        V = rng.uniform(-0.2, 0.8, (2, 3, 2 * n))
+        stack = bv.jacobian(sys, V)
+        assert stack.shape == (2, 3, 2 * n, 2 * n)
+        for idx in np.ndindex(2, 3):
+            single = bv.jacobian(sys, State.from_vector(V[idx]), tol=np.inf)
+            assert np.abs(stack[idx] - single).max() <= 1e-15
+            assert np.array_equal(bv.jacobian(sys, V[idx]), single)
+
+    def test_state_outside_feasible_set_refused(self):
+        with pytest.raises(DomainError):
+            bv.jacobian(CASES["case2"].system(),
+                        State([0.9, 0.9], [0.9, 0.9]))
+
 class TestTransformedJacobian:
     def test_metzler_and_irreducible_interior(self):
         rng = np.random.default_rng(2)
