@@ -20,7 +20,7 @@ from .speclin import (classify_metzler, is_irreducible, perron_vector,
 from .model import (BivirusSystem, State, field, in_feasible_set,
                     is_strictly_interior, jacobian, normalize_recovery,
                     reproduction_numbers, residual, transformed_jacobian,
-                    validate, validation_errors, vector_field)
+                    validate, validation_errors)
 from .equilibria import (Analysis, BoundaryVerdict, EnumerationResult,
                          Equilibrium, LineFamily, SufficientConditions,
                          analysis, boundary_stability,
@@ -28,7 +28,7 @@ from .equilibria import (Analysis, BoundaryVerdict, EnumerationResult,
                          find_coexistence_newton, single_virus_endemic,
                          solve_coexistence_n2, sufficient_conditions)
 from .sim import (GridSpec, Outcome, ProbeResult, SandwichResult, Trajectory,
-                  basin_probe, corner_states, hyperrectangle_contains,
+                  basin_probe, hyperrectangle_contains,
                   integrate, order_leq, sandwich_test)
 from .cases import CASES, CaseStudy, demo_starts
 
@@ -40,14 +40,14 @@ __all__ = [
     "Outcome", "SandwichResult", "GridSpec", "ProbeResult", "CaseStudy",
     "CASES",
     "validate", "validation_errors", "normalize_recovery",
-    "reproduction_numbers", "vector_field", "field", "residual", "jacobian",
+    "reproduction_numbers", "field", "residual", "jacobian",
     "transformed_jacobian", "in_feasible_set", "is_strictly_interior",
     "is_irreducible", "spectral_radius", "spectral_abscissa", "perron_vector",
     "classify_metzler",
     "analysis", "single_virus_endemic", "boundary_stability", "sufficient_conditions",
     "solve_coexistence_n2", "find_coexistence_newton", "enumerate_equilibria",
     "construct_equilibrium_line",
-    "integrate", "order_leq", "corner_states",
+    "integrate", "order_leq",
     "sandwich_test", "hyperrectangle_contains", "basin_probe", "demo_starts",
     "DomainError", "ValidationError", "ConvergenceError", "IntegrationError",
 ]

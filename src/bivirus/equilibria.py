@@ -47,6 +47,10 @@ INTERIOR_FLOOR = 1e-7
 #: Largest infinity-norm field residual at which a Newton iterate counts
 #: as a root.
 NEWTON_TOL = 1e-10
+#: Most damped Newton steps one start takes.
+NEWTON_MAX_ITER = 80
+#: Intensities a, b of the default coexistence seeds (a x1_bar, b x2_bar).
+SEED_LEVELS = np.linspace(0.1, 0.9, 9)
 #: Byte budget of one lockstep batch's Jacobian stack in the coexistence
 #: search: all of the at most 81 seeds fit up to n = 14, then 40 at n = 20,
 #: 10 at n = 40 and 1 at n = 100, so memory stays flat in n.
@@ -423,18 +427,17 @@ def solve_coexistence_n2(sys: BivirusSystem | Analysis):
 # ---------------------------------------------------------------------------
 # coexistence equilibria, general-n Newton search
 
-def default_seed_grid(sys: BivirusSystem | Analysis, levels=None):
-    """Seed states (a * x1_bar, b * x2_bar) over a scalar intensity grid,
-    respecting the geometry equilibria are expected to have.  Empty when
-    either virus is subcritical (no coexistence is possible then)."""
+def default_seed_grid(sys: BivirusSystem | Analysis):
+    """Seed states (a * x1_bar, b * x2_bar) for a, b in SEED_LEVELS that lie
+    in the feasible set, respecting the geometry equilibria are expected
+    to have.  Empty when either virus is subcritical (no coexistence is
+    possible then)."""
     x1bar, x2bar = analysis(sys).bars
     if x1bar is None or x2bar is None:
         return []
-    if levels is None:
-        levels = np.linspace(0.1, 0.9, 9)
     seeds = []
-    for a in levels:
-        for b in levels:
+    for a in SEED_LEVELS:
+        for b in SEED_LEVELS:
             s = State(a * x1bar, b * x2bar)
             if model.in_feasible_set(s, 0.0):
                 seeds.append(s)
@@ -547,7 +550,7 @@ def _line_search(f, v, r, rnorm, steps):
     return v, r, rnorm, stagnated
 
 
-def _newton_root(f, jac, v0, tol, known=None, max_iter=80):
+def _newton_root(f, jac, v0, tol, known=None):
     """Damped Newton in lockstep over the rows of v0, one start per row.
 
     f maps rows of shape (m, k) to their residuals and jac to their
@@ -555,22 +558,16 @@ def _newton_root(f, jac, v0, tol, known=None, max_iter=80):
     of every row still running as one stack, solves them together
     (`_newton_steps`) and runs the line search of every row together
     (`_line_search`).  A row stops when
-    - it has converged: its residual's infinity norm is at most `tol`, or,
-      when `tol` is a function, every entry of |f| is at most the
-      same entry of tol(row);
+    - it has converged: every entry of |f| is at most the same entry of
+      tol(row), an array (or scalar) of entrywise bounds;
     - it lies in the ball of a root of `known` (a _KnownRoots), checked
       before every step;
     - no step lowers its residual (it stagnated);
-    - or it has taken `max_iter` steps.
+    - or it has taken NEWTON_MAX_ITER steps.
     A converged row joins `known` at once, so rows still running retire
     in its ball.  Returns the final rows, the infinity norms of their
     residuals and a mask of the rows that stopped in a ball.
     """
-    def converged(v, r, rnorm):
-        if callable(tol):
-            return (np.abs(r) <= tol(v)).all(axis=-1)
-        return rnorm <= tol
-
     v = np.array(v0, dtype=float)
     r = f(v)
     rnorm = np.abs(r).max(axis=-1)
@@ -579,8 +576,8 @@ def _newton_root(f, jac, v0, tol, known=None, max_iter=80):
     in_ball = np.zeros(len(v), dtype=bool)
     rows = np.arange(len(v))   # the output positions of the running rows
     stagnated = False
-    for it in range(max_iter + 1):
-        done = converged(v, r, rnorm)
+    for it in range(NEWTON_MAX_ITER + 1):
+        done = (np.abs(r) <= tol(v)).all(axis=-1)
         stop = done | stagnated
         if known is not None:
             ball = known.contains(v)
@@ -595,7 +592,7 @@ def _newton_root(f, jac, v0, tol, known=None, max_iter=80):
             rows, v, r, rnorm = rows[keep], v[keep], r[keep], rnorm[keep]
             if not rows.size:
                 break
-        if it == max_iter:
+        if it == NEWTON_MAX_ITER:
             V[rows], rnorm_out[rows] = v, rnorm
             break
         steps = _newton_steps(jac(v), r)
@@ -651,7 +648,8 @@ def find_coexistence_newton(sys: BivirusSystem | Analysis, seeds=None):
     converged = retired = 0
     for lo in batches:
         v, rnorm, in_ball = _newton_root(
-            f, jac, starts[lo:lo + batches.step], NEWTON_TOL, known)
+            f, jac, starts[lo:lo + batches.step], lambda v: NEWTON_TOL,
+            known)
         root = ~in_ball & (rnorm <= NEWTON_TOL)
         converged += int(root.sum())
         retired += int(in_ball.sum())

@@ -43,6 +43,7 @@ import numpy as np
 
 from . import model
 from .exceptions import DomainError, IntegrationError
+from .equilibria import Analysis
 from .model import BivirusSystem, State
 
 log = logging.getLogger(__name__)
@@ -72,6 +73,9 @@ DEFAULT_STOP_TOL = 1e-9
 #: An integrated state counts as at an equilibrium within this infinity
 #: distance of it.
 MATCH_TOL = 1e-3
+#: How far outside the sandwich box a state may lie and still count as
+#: inside it (`hyperrectangle_contains`).
+BOX_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -92,10 +96,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     outcome: Outcome
-
-    @property
-    def final_time(self) -> float:
-        return float(self.times[-1])
 
     @property
     def final_vector(self) -> np.ndarray:
@@ -286,11 +286,22 @@ def _integrate_starts(sys, starts, t_end, *, record_interval=1.0,
             for times, states, stopped in runs]
 
 
-def integrate(sys: BivirusSystem, s0: State, t_end: float = DEFAULT_T_END,
+def _validated(sys):
+    """The system of sys: a BivirusSystem, validated here (`model.validate`
+    raises ValidationError on a broken one), or an `equilibria.Analysis`,
+    whose system was validated when it was built."""
+    if isinstance(sys, Analysis):
+        return sys.system
+    return model.validate(sys)
+
+
+def integrate(sys: BivirusSystem | Analysis, s0: State,
+              t_end: float = DEFAULT_T_END,
               *, record_interval: float = 1.0,
               stop_tol: float | None = DEFAULT_STOP_TOL) -> Trajectory:
     """Integrate the bivirus dynamics from s0 at t = 0 to t_end, at the
-    tolerances `RTOL` and `ATOL`, and record at a uniform stride.
+    tolerances `RTOL` and `ATOL`, and record at a uniform stride.  sys is
+    a system, validated first, or its `equilibria.Analysis`.
 
     Every accepted state is checked against the feasible set: drift within
     `model.CONTAINMENT_TOL` passes untouched, and drift beyond it aborts
@@ -305,7 +316,7 @@ def integrate(sys: BivirusSystem, s0: State, t_end: float = DEFAULT_T_END,
     This is a lockstep batch of one start, the same stepper that
     `sandwich_test` and `basin_probe` run on all their starts at once.
     """
-    return _integrate_starts(sys, [s0], t_end,
+    return _integrate_starts(_validated(sys), [s0], t_end,
                              record_interval=record_interval,
                              stop_tol=stop_tol)[0]
 
@@ -321,7 +332,7 @@ def order_leq(s1: State, s2: State, tol: float = 0.0) -> bool:
     return bool((s2.x1 >= s1.x1 - tol).all() and (s2.x2 <= s1.x2 + tol).all())
 
 
-def corner_states(n: int, eta: float):
+def _corner_states(n: int, eta: float):
     """The two near-extreme corners bounding the interior in the orthant
     order: A has virus 1 nearly absent and virus 2 nearly saturated, B the
     mirror image."""
@@ -364,11 +375,13 @@ def _jitter_pattern(dim: int, seed: int) -> np.ndarray:
     return np.array([1.0 if (i + seed) % 2 == 0 else -1.0 for i in range(dim)])
 
 
-def sandwich_test(sys: BivirusSystem, eta: float = DEFAULT_ETA,
+def sandwich_test(sys: BivirusSystem | Analysis,
+                  eta: float = DEFAULT_ETA,
                   t_end: float = DEFAULT_T_END, tol: float = 1e-6, *,
                   stop_tol: float = DEFAULT_STOP_TOL,
                   seed: int = 0) -> SandwichResult:
-    """Integrate from the two eta-inset corners and compare limits.
+    """Integrate from the two eta-inset corners and compare limits.  sys
+    is a system, validated first, or its `equilibria.Analysis`.
 
     Both corners run as one lockstep batch of the `integrate` stepper.  A
     corner run that fails to converge is retried once from the corner
@@ -379,7 +392,8 @@ def sandwich_test(sys: BivirusSystem, eta: float = DEFAULT_ETA,
     its batch, so its limit may differ from a lone `integrate` run by
     about `RTOL`.
     """
-    corners = corner_states(sys.n, eta)
+    sys = _validated(sys)
+    corners = _corner_states(sys.n, eta)
     trajs = _integrate_starts(sys, corners, t_end, stop_tol=stop_tol)
     failed = [i for i, tr in enumerate(trajs)
               if tr.outcome.kind != "converged"]
@@ -409,16 +423,16 @@ def sandwich_test(sys: BivirusSystem, eta: float = DEFAULT_ETA,
                           jittered=(0 in failed, 1 in failed))
 
 
-def hyperrectangle_contains(result: SandwichResult, s: State,
-                            slack: float = 1e-6) -> bool:
+def hyperrectangle_contains(result: SandwichResult, s: State) -> bool:
     """Membership of a state in the closed hyperrectangle spanned by the
-    two sandwich limits (axis-parallel box with those corners)."""
+    two sandwich limits (axis-parallel box with those corners), widened by
+    BOX_SLACK on every side."""
     if not result.conclusive:
         raise DomainError("sandwich result is inconclusive; no hyperrectangle")
     a = result.limit_A.as_vector()
     b = result.limit_B.as_vector()
-    lo = np.minimum(a, b) - slack
-    hi = np.maximum(a, b) + slack
+    lo = np.minimum(a, b) - BOX_SLACK
+    hi = np.maximum(a, b) + BOX_SLACK
     v = s.as_vector()
     return bool((v >= lo).all() and (v <= hi).all())
 
@@ -538,10 +552,11 @@ class _AttractionBalls:
         return np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
 
 
-def basin_probe(sys: BivirusSystem, equilibria,
+def basin_probe(sys: BivirusSystem | Analysis, equilibria,
                 grid: GridSpec = None) -> ProbeResult:
     """Integrate from every grid start and label each run by the nearest
-    known equilibrium (`nearest_equilibrium`), or unresolved.
+    known equilibrium (`nearest_equilibrium`), or unresolved.  sys is a
+    system, validated first, or its `equilibria.Analysis`.
 
     `equilibria` is the output of enumerate_equilibria (or any list of
     Equilibrium); run the enumeration first so the labels mean something.
@@ -554,6 +569,7 @@ def basin_probe(sys: BivirusSystem, equilibria,
     that radius has its limit certified, leaves the batch there and
     reports that equilibrium as its final state.
     """
+    sys = _validated(sys)
     grid = grid or GridSpec()
     eq_list = list(equilibria)
     legend = [e.kind for e in eq_list]

@@ -59,19 +59,6 @@ def require_positive_diagonal(D, what="matrix") -> np.ndarray:
     return M
 
 
-def is_metzler(M) -> bool:
-    M = as_square_matrix(M)
-    off = M - np.diag(np.diag(M))
-    return bool((off >= 0).all())
-
-
-def require_metzler(M, what="matrix") -> np.ndarray:
-    M = as_square_matrix(M, what)
-    if not is_metzler(M):
-        raise DomainError(f"{what} is not Metzler (negative off-diagonal)")
-    return M
-
-
 # ---------------------------------------------------------------------------
 # graph structure
 
@@ -139,9 +126,15 @@ def spectral_abscissa(M) -> float:
     rightmost eigenvalue of M is real and equal to rho(M + cI) - c.  That
     holds for reducible M too (block-triangular Jacobians at boundary
     equilibria), so the dense spectrum needs no condensation into strongly
-    connected components.
+    connected components.  Input with a negative off-diagonal entry
+    raises DomainError: the package hands in exactly Metzler matrices
+    (`model.transformed_jacobian`), so this check guards outside input.
     """
-    return _rightmost_eigenvalue(require_metzler(M, "spectral_abscissa input"))
+    M = as_square_matrix(M, "spectral_abscissa input")
+    if (M - np.diag(np.diag(M)) < 0).any():
+        raise DomainError("spectral_abscissa input is not Metzler "
+                          "(negative off-diagonal)")
+    return _rightmost_eigenvalue(M)
 
 
 def classify_abscissa(s: float) -> str:

@@ -126,11 +126,17 @@ def bruteforce_coexistence_n2(B1, B2, step=0.05, tol=1e-11, max_iter=60,
             if not len(active):
                 break
             Ja = J(active)
-            ok = np.abs(np.linalg.det(Ja)) > 1e-30
-            step_vec = np.zeros_like(active)
-            if ok.any():
-                step_vec[ok] = np.linalg.solve(Ja[ok],
-                                               -Fa[ok][..., None])[..., 0]
+            try:
+                step_vec = np.linalg.solve(Ja, -Fa[..., None])[..., 0]
+                ok = True
+            except np.linalg.LinAlgError:
+                # some Jacobian is singular: step only the rows whose
+                # determinant is clear of zero, and drop the others
+                ok = np.abs(np.linalg.det(Ja)) > 1e-30
+                step_vec = np.zeros_like(active)
+                if ok.any():
+                    step_vec[ok] = np.linalg.solve(
+                        Ja[ok], -Fa[ok][..., None])[..., 0]
             active = active + step_vec
             keep = (ok & np.isfinite(active).all(axis=1)
                     & (np.abs(active).max(axis=1) <= 10.0))
@@ -143,11 +149,10 @@ def bruteforce_coexistence_n2(B1, B2, step=0.05, tol=1e-11, max_iter=60,
     allr = np.vstack(roots) if roots else np.empty((0, 4))
     if not len(allr):
         return allr
-    order = np.lexsort(allr.T[::-1])
-    allr = allr[order]
-    keep = [allr[0]]
-    for row in allr[1:]:
-        if np.max(np.abs(row - keep[-1])) > 1e-6 and \
-           all(np.max(np.abs(row - k)) > 1e-6 for k in keep):
-            keep.append(row)
+    rest = allr[np.lexsort(allr.T[::-1])]
+    keep = []
+    while len(rest):
+        # keep the first remaining row and drop every row within 1e-6 of it
+        keep.append(rest[0])
+        rest = rest[np.abs(rest - rest[0]).max(axis=1) > 1e-6]
     return np.array(keep)

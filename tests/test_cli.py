@@ -17,6 +17,11 @@ def write_config(path, doc):
     return str(path)
 
 
+def _csv_states(path):
+    """The state columns of a trajectory CSV, one row per record."""
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 1:]
+
+
 def case_config(name, **extra):
     cs = CASES[name]
     doc = {
@@ -108,8 +113,7 @@ class TestSimulate:
         cfg = write_config(tmp_path / "c.json", doc)
         out = tmp_path / "runs"
         assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-        t, states, n = cli.parse_trajectory_csv(
-            (out / "run_000.csv").read_text())
+        states = _csv_states(out / "run_000.csv")
         assert np.abs(states).max() == 0.0
         summary = (out / "summary.csv").read_text().splitlines()
         assert summary[0] == "run,file,label"
@@ -131,8 +135,7 @@ class TestSimulate:
         targets = [e.coordinates() for e in enum
                    if e.kind.startswith("boundary")]
         for i in range(8):
-            _, states, _ = cli.parse_trajectory_csv(
-                (out / f"run_{i:03d}.csv").read_text())
+            states = _csv_states(out / f"run_{i:03d}.csv")
             d = min(np.max(np.abs(states[-1] - t)) for t in targets)
             assert d <= 1e-3
 
@@ -142,9 +145,8 @@ class TestSimulate:
         cfg = write_config(tmp_path / "c.json", doc)
         out = tmp_path / "runs"
         assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-        t, states, n = cli.parse_trajectory_csv(
-            (out / "run_000.csv").read_text())
-        s_last = State(states[-1, :n], states[-1, n:])
+        states = _csv_states(out / "run_000.csv")
+        s_last = State.from_vector(states[-1])
         traj = bv.integrate(CASES["case2"].system(), s_last, 100.0)
         assert np.max(np.abs(traj.final_vector - states[-1])) <= 1e-6
 

@@ -225,8 +225,10 @@ class TestSolveCoexistenceN2:
 class TestFindCoexistenceNewton:
     def test_case2_grid_matches_analytic(self):
         sys = CASES["case2"].system()
+        x1bar, x2bar = equilibria.analysis(sys).bars
         levels = np.linspace(0.1, 0.9, 5)
-        seeds = equilibria.default_seed_grid(sys, levels=levels)
+        seeds = [State(a * x1bar, b * x2bar) for a in levels for b in levels
+                 if (a * x1bar + b * x2bar <= 1.0).all()]
         found = bv.find_coexistence_newton(sys, seeds=seeds)
         assert len(found) == 1
         (analytic,) = bv.solve_coexistence_n2(sys)
@@ -328,7 +330,7 @@ def _newton_roots(sys, retire):
     roots = []
     for seed in equilibria.default_seed_grid(sys):
         (v,), (rnorm,), (in_ball,) = equilibria._newton_root(
-            f, jac, seed.as_vector()[None], 1e-10, known)
+            f, jac, seed.as_vector()[None], lambda v: 1e-10, known)
         if in_ball or rnorm > 1e-10:
             continue
         if known is not None:
@@ -379,12 +381,12 @@ class TestNewtonRetirement:
         seed = e + 0.9 * r * np.linspace(-1.0, 1.0, e.size)
         steps.clear()
         (v,), _, (in_ball,) = equilibria._newton_root(f, jac, seed[None],
-                                                      1e-10, known)
+                                                      lambda v: 1e-10, known)
         assert in_ball and not steps
         assert np.array_equal(v, seed)
         # and Newton from there does end at e
-        (v,), (rnorm,), (in_ball,) = equilibria._newton_root(f, jac,
-                                                             seed[None], 1e-10)
+        (v,), (rnorm,), (in_ball,) = equilibria._newton_root(
+            f, jac, seed[None], lambda v: 1e-10)
         assert not in_ball and rnorm <= 1e-10
         assert np.max(np.abs(v - e)) <= 1e-9
 
@@ -403,11 +405,12 @@ class TestLockstepNewton:
             a, f, jac = _newton_parts(sys)
             starts = np.array([s.as_vector()
                                for s in equilibria.default_seed_grid(a)])
-            v, rnorm, in_ball = equilibria._newton_root(f, jac, starts, 1e-10)
+            v, rnorm, in_ball = equilibria._newton_root(f, jac, starts,
+                                                        lambda v: 1e-10)
             assert not in_ball.any()
             for i, start in enumerate(starts):
                 (w,), (r,), _ = equilibria._newton_root(f, jac, start[None],
-                                                        1e-10)
+                                                        lambda v: 1e-10)
                 assert np.max(np.abs(v[i] - w)) <= 1e-12
                 assert (r <= 1e-10) == (rnorm[i] <= 1e-10)
 
@@ -422,11 +425,11 @@ class TestLockstepNewton:
         direction = np.array([1.0, 0.5, 0.8, 0.3])
         starts = np.array([0.02 * direction, 0.05 * direction, on_line,
                            0.1 * direction])
-        v, rnorm, _ = equilibria._newton_root(f, jac, starts, 0.0)
+        v, rnorm, _ = equilibria._newton_root(f, jac, starts, lambda v: 0.0)
         assert np.max(np.abs(v[2] - on_line)) <= 1e-12
         for i in (0, 1, 3):
             (w,), (r,), _ = equilibria._newton_root(f, jac, starts[i][None],
-                                                    0.0)
+                                                    lambda v: 0.0)
             assert np.max(np.abs(v[i] - w)) <= 1e-12
             assert rnorm[i] == r <= 1e-15
 

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 import bivirus as bv
-from bivirus import CASES, model
+from bivirus import CASES, equilibria, model
 from bivirus.exceptions import DomainError, ValidationError
 from bivirus.model import BivirusSystem, State
 
 import oracles
-from conftest import random_interior_state
+from conftest import random_interior_state, random_supercritical_system
 
 B1 = np.array([[1.6, 1.0], [1.0, 1.6]])
 EYE = np.eye(2)
@@ -93,8 +93,8 @@ class TestReproductionNumbers:
 
 class TestVectorField:
     def test_zero_at_healthy(self):
-        dx1, dx2 = bv.vector_field(CASES["case2"].system(), State.zero(2))
-        assert np.all(dx1 == 0) and np.all(dx2 == 0)
+        f = bv.field(CASES["case2"].system())
+        assert np.all(f(State.zero(2).as_vector()) == 0)
 
     def test_small_at_reported_equilibria(self):
         # the 3-decimal reference coordinates are near-equilibria
@@ -110,12 +110,11 @@ class TestVectorField:
 
     def test_rejects_far_outside_states(self):
         with pytest.raises(DomainError):
-            bv.vector_field(CASES["case2"].system(),
-                            State([0.9, 0.9], [0.9, 0.9]))
+            model.require_in_feasible_set(State([0.9, 0.9], [0.9, 0.9]))
 
     def test_tolerates_drift_band(self):
-        bv.vector_field(CASES["case2"].system(),
-                        State([-1e-10, 0.2], [0.3, 0.4]))
+        s = State([-1e-10, 0.2], [0.3, 0.4])
+        assert model.require_in_feasible_set(s) is s
 
     def test_directional_derivative_matches_jacobian(self):
         rng = np.random.default_rng(5)
@@ -138,8 +137,8 @@ class TestVectorField:
         for _ in range(10):
             x1 = rng.uniform(0.2, 0.8, size=2)
             x2 = 1.0 - x1
-            dx1, dx2 = bv.vector_field(sys, State(x1, x2))
-            dz = -(dx1 + dx2)
+            dx = bv.field(sys)(State(x1, x2).as_vector())
+            dz = -(dx[:2] + dx[2:])
             assert (dz > 0).all()
 
 
@@ -179,7 +178,8 @@ class TestJacobian:
     def test_stack_matches_single_states(self):
         # heterogeneous recovery rates, so the diagonal blocks' -D terms
         # are checked too, and rows outside the feasible set, which the
-        # array form (for Newton iterates) does not refuse
+        # array form (for Newton iterates) does not refuse; the feasible
+        # rows match the checked State form
         rng = np.random.default_rng(21)
         n = 5
         sys = BivirusSystem(rng.uniform(0.1, 1.0, (n, n)),
@@ -187,12 +187,18 @@ class TestJacobian:
                             rng.uniform(0.1, 1.0, (n, n)),
                             rng.uniform(0.5, 2.0, n))
         V = rng.uniform(-0.2, 0.8, (2, 3, 2 * n))
+        V[0] = np.abs(V[0]) / 2.0   # these three rows are feasible
         stack = bv.jacobian(sys, V)
         assert stack.shape == (2, 3, 2 * n, 2 * n)
+        feasible = 0
         for idx in np.ndindex(2, 3):
-            single = bv.jacobian(sys, State.from_vector(V[idx]), tol=np.inf)
+            single = bv.jacobian(sys, V[idx])
             assert np.abs(stack[idx] - single).max() <= 1e-15
-            assert np.array_equal(bv.jacobian(sys, V[idx]), single)
+            s = State.from_vector(V[idx])
+            if bv.in_feasible_set(s):
+                feasible += 1
+                assert np.array_equal(bv.jacobian(sys, s), single)
+        assert feasible == 3
 
     def test_state_outside_feasible_set_refused(self):
         with pytest.raises(DomainError):
@@ -227,3 +233,80 @@ class TestTransformedJacobian:
             assert np.allclose(lam_J, lam_P, atol=1e-10)
             assert bv.spectral_abscissa(PJP) == \
                 pytest.approx(max(lam_J.real), abs=1e-9)
+
+
+def _near_face_state(rng, n):
+    """A state on the faces of the feasible set or up to CONTAINMENT_TOL
+    beyond them: per node, x1, x2 or both at -u tol, or x1 + x2 at
+    1 + u tol, or left interior, with u = 1 (the edge of the slack) half
+    the time and uniform in [0, 1] otherwise."""
+    tol = model.CONTAINMENT_TOL
+    s = random_interior_state(rng, n)
+    x1, x2 = s.x1.copy(), s.x2.copy()
+    for i in range(n):
+        u = 1.0 if rng.random() < 0.5 else rng.random()
+        face = rng.integers(5)
+        if face in (1, 3):
+            x1[i] = -u * tol
+        if face in (2, 3):
+            x2[i] = -u * tol
+        if face == 4:
+            total = 1.0 + u * tol
+            x1[i] = rng.random() * total
+            x2[i] = total - x1[i]
+    return State(x1, x2)
+
+
+def _face_stress_systems(rng):
+    """Random systems at n = 2..6, plus all-ones and cyclic infection
+    matrices: their row sums exceed 1 + max B, and a cyclic row has one
+    entry, which its row sum equals."""
+    for n in range(2, 7):
+        eye = np.eye(n)
+        yield random_supercritical_system(rng, n)
+        yield BivirusSystem(np.ones((n, n)), eye, np.ones((n, n)), eye)
+        cyclic = 2.0 * np.roll(eye, 1, axis=1)
+        yield BivirusSystem(cyclic, eye, 1.5 * cyclic.T, eye)
+
+
+class TestMetzlerOnTheFeasibleSet:
+    """Every state that `in_feasible_set` accepts, up to CONTAINMENT_TOL
+    outside the set, has an exactly Metzler transformed Jacobian that the
+    spectral kernel classifies."""
+
+    def test_states_within_tolerance_of_the_faces(self):
+        rng = np.random.default_rng(12)
+        accepted = 0
+        for sys in _face_stress_systems(rng):
+            n = sys.n
+            P = np.diag(np.r_[np.ones(n), -np.ones(n)])
+            rows = max(sys.B1.sum(axis=1).max(), sys.B2.sum(axis=1).max())
+            for _ in range(40):
+                s = _near_face_state(rng, n)
+                if not bv.in_feasible_set(s):
+                    continue
+                accepted += 1
+                J = bv.jacobian(sys, s)
+                PJP = bv.transformed_jacobian(sys, s)
+                off = PJP - np.diag(np.diag(PJP))
+                assert off.min() >= 0.0
+                # rounding moved no entry by more than the slack allows
+                assert np.abs(PJP - P @ J @ P).max() <= \
+                    2.0 * model.CONTAINMENT_TOL * rows
+                equilibria.classify_state(sys, s)
+        assert accepted >= 500
+
+    def test_case2_just_past_the_saturated_face(self):
+        s = State([0.6, 0.3], [0.4 + 1e-12, 0.3])
+        cls, absc = equilibria.classify_state(CASES["case2"].system(), s)
+        assert cls in ("stable", "unstable", "singular_boundary")
+        assert np.isfinite(absc)
+
+    def test_row_sums_above_one_plus_max_entry(self):
+        eye = np.eye(3)
+        sys = BivirusSystem(np.ones((3, 3)), eye, np.ones((3, 3)), eye)
+        s = State(-0.9e-9 * np.ones(3), 0.3 * np.ones(3))
+        PJP = bv.transformed_jacobian(sys, s)
+        assert (PJP - np.diag(np.diag(PJP))).min() >= 0.0
+        # only off-diagonal entries are rounded
+        assert np.array_equal(np.diag(PJP), np.diag(bv.jacobian(sys, s)))

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import bivirus as bv
-from bivirus import CASES, model, sim
-from bivirus.exceptions import DomainError, IntegrationError
+from bivirus import CASES, equilibria, model, sim
+from bivirus.exceptions import DomainError, IntegrationError, ValidationError
 from bivirus.model import BivirusSystem, State
 from bivirus.sim import _integrate_flat, _integrate_starts
 
@@ -68,7 +68,7 @@ class TestIntegrate:
                             State([0.2, 0.2], [0.1, 0.1]), 10.0,
                             record_interval=0.5, stop_tol=None)
         assert np.allclose(np.diff(traj.times), 0.5, atol=1e-9)
-        assert traj.final_time == pytest.approx(10.0, abs=1e-9)
+        assert traj.times[-1] == pytest.approx(10.0, abs=1e-9)
 
     def test_infeasible_start_rejected(self):
         with pytest.raises(DomainError):
@@ -123,7 +123,7 @@ class TestDetectConvergence:
                 for t_end in (10.0, 20.0, 30.0, 40.0, 50.0, 60.0):
                     full = bv.integrate(sys, s0, t_end, stop_tol=None)
                     early = bv.integrate(sys, s0, t_end)
-                    assert full.final_time == pytest.approx(t_end)
+                    assert full.times[-1] == pytest.approx(t_end)
                     assert full.outcome.kind == early.outcome.kind, (name,
                                                                      t_end)
                     if full.outcome.kind == "converged":
@@ -153,7 +153,7 @@ class TestDetectConvergence:
         sys = CASES["case3"].system()
         (eq,) = bv.enumerate_equilibria(sys).of_kind("coexistence")
         traj = bv.integrate(sys, eq.state, 50.5, stop_tol=None)
-        assert traj.final_time == pytest.approx(50.5)
+        assert traj.times[-1] == pytest.approx(50.5)
         assert traj.outcome.kind == "converged"
 
 
@@ -246,7 +246,7 @@ class TestSandwich:
 
     def test_corner_feasibility_guard(self):
         with pytest.raises(DomainError):
-            sim.corner_states(2, 0.5)
+            bv.sandwich_test(CASES["case2"].system(), eta=0.5)
 
     def test_tiny_budget_inconclusive(self):
         res = bv.sandwich_test(CASES["case2"].system(), t_end=5.0)
@@ -256,7 +256,7 @@ class TestSandwich:
     def test_third_trajectory_sandwiched(self):
         sys = CASES["case2"].system()
         eta = 1e-3
-        sA, sB = sim.corner_states(2, eta)
+        sA, sB = sim._corner_states(2, eta)
         mid = State([0.3, 0.5], [0.2, 0.3])
         kw = dict(record_interval=0.5, stop_tol=None)
         tA = bv.integrate(sys, sA, 30.0, **kw)
@@ -304,7 +304,49 @@ class TestBasinProbe:
             for j in range(probe.labels.shape[1]):
                 if probe.labels[i, j] >= 0:
                     s = State.from_vector(probe.final_states[i, j])
-                    assert bv.hyperrectangle_contains(res, s, slack=1e-6)
+                    assert bv.hyperrectangle_contains(res, s)
+
+
+def _broken_b2(B2):
+    return BivirusSystem(B1, EYE, B2, EYE)
+
+
+class TestSystemValidation:
+    """`integrate`, `sandwich_test` and `basin_probe` refuse a system that
+    breaks the model assumptions, and take an `equilibria.Analysis` as an
+    already validated system."""
+
+    BROKEN = {
+        "nan": _broken_b2([[2.1, np.nan], [1.885, 1.1]]),
+        "negative": _broken_b2([[2.1, -0.5], [1.885, 1.1]]),
+        "reducible": _broken_b2([[2.1, 0.0], [3.0, 1.1]]),
+    }
+    ENTRY_POINTS = {
+        "integrate": lambda sys: bv.integrate(
+            sys, State([0.3, 0.3], [0.2, 0.2]), 10.0),
+        "sandwich_test": lambda sys: bv.sandwich_test(sys, t_end=10.0),
+        "basin_probe": lambda sys: bv.basin_probe(
+            sys, [], sim.GridSpec(n_a=2, n_b=2)),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("broken", sorted(BROKEN))
+    def test_broken_system_refused(self, entry, broken):
+        with pytest.raises(ValidationError):
+            self.ENTRY_POINTS[entry](self.BROKEN[broken])
+
+    def test_analysis_is_not_validated_again(self, monkeypatch):
+        sys = CASES["case2"].system()
+        a = equilibria.analysis(sys)
+        bare = bv.sandwich_test(sys)
+        calls = []
+        monkeypatch.setattr(model, "validate", calls.append)
+        from_a = bv.sandwich_test(a)
+        bv.integrate(a, State([0.3, 0.3], [0.2, 0.2]), 10.0)
+        bv.basin_probe(a, [], sim.GridSpec(n_a=2, n_b=2))
+        assert calls == []
+        assert np.array_equal(from_a.traj_A.states, bare.traj_A.states)
+        assert np.array_equal(from_a.traj_B.states, bare.traj_B.states)
 
 
 class TestLockstepBatch:
