@@ -344,6 +344,7 @@ def sandwich_to_dict(res: sim.SandwichResult) -> dict:
         "limit_A": state_list(res.limit_A),
         "limit_B": state_list(res.limit_B),
         "jittered": list(res.jittered),
+        "retired": list(res.retired),
     }
 
 

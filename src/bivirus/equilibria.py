@@ -431,7 +431,16 @@ def default_seed_grid(sys: BivirusSystem | Analysis):
     """Seed states (a * x1_bar, b * x2_bar) for a, b in SEED_LEVELS that lie
     in the feasible set, respecting the geometry equilibria are expected
     to have.  Empty when either virus is subcritical (no coexistence is
-    possible then)."""
+    possible then).
+
+    The seed a = b = 0.5 is a singular point of the Newton Jacobian J of
+    the recovery-normalized field on every system: J u = 0 for
+    u = (x1_bar, -x2_bar).  At x = (x1_bar / 2, x2_bar / 2) the first
+    block of J u is -x1_bar + (1 - x1 - x2 - x1 + x2) o (B1 x1_bar)
+    = -x1_bar + (1 - x1_bar) o (B1 x1_bar), which is 0 because the profile
+    solves x_bar = (1 - x_bar) o (B x_bar); the second block is its mirror
+    image.  Newton's first step from that seed is therefore a
+    least-squares step (`_newton_steps`)."""
     x1bar, x2bar = analysis(sys).bars
     if x1bar is None or x2bar is None:
         return []

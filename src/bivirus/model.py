@@ -270,7 +270,9 @@ def transformed_jacobian(sys: BivirusSystem, s: State) -> np.ndarray:
     nonnegative on the feasible set.  A state within CONTAINMENT_TOL of
     that set makes them at worst -CONTAINMENT_TOL times the largest row
     sum of B1 or B2 (plus a few ulps of 1 from rounding 1 - x1 - x2).
-    Negative entries within that bound are rounded up to 0; one below it
+    Negative entries within that bound are rounded up to 0.  One below it
+    comes from a negative infection rate, a broken system that `validate`
+    refuses, and raises DomainError naming that rate; with valid rates it
     is an implementation bug, not a user error, and raises AssertionError.
     Irreducible whenever the state is strictly interior.
     """
@@ -284,7 +286,14 @@ def transformed_jacobian(sys: BivirusSystem, s: State) -> np.ndarray:
     if low < 0.0:
         rows = max(sys.B1.sum(axis=1).max(), sys.B2.sum(axis=1).max())
         bound = (CONTAINMENT_TOL + 4.0 * np.finfo(float).eps) * rows
-        if low < -bound:   # raised, not asserted: -O must not clip it away
+        if low < -bound:
+            for name in ("B1", "B2"):
+                B = getattr(sys, name)
+                if (B < 0).any():
+                    i, j = np.unravel_index(np.argmin(B), B.shape)
+                    raise DomainError(f"{name}[{i}, {j}] = {B[i, j]:g} is a "
+                                      "negative infection rate")
+            # raised, not asserted: -O must not clip it away
             raise AssertionError("transformed Jacobian lost Metzler structure")
         np.maximum(PJP, 0.0, out=PJP)
     np.fill_diagonal(PJP, diag)

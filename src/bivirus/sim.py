@@ -26,11 +26,15 @@ every rate (time) leaves the verdict unchanged.  A run the rule stops is
 With `stop_tol=None` a run goes on to t_end and the same rule, at
 `DEFAULT_STOP_TOL`, judges its final record alone.
 
-`basin_probe` alone also retires a start early once it enters a certified
-ball of attraction around a stable equilibrium (from the logarithmic norm
-of the Metzler transformed Jacobian); such a start reports that
-equilibrium as its limit.  `integrate` returns whole trajectories and
-`sandwich_test` runs to its stop rule, so neither retires.
+A batch run also retires early once, at a record mark, it lies within
+half the radius of a certified ball of attraction around an equilibrium
+(`_attraction_ball`, from the logarithmic norm of the Metzler transformed
+Jacobian); it then reports that equilibrium as its limit.  `basin_probe`
+builds its balls around the equilibria it is given, and `sandwich_test`
+around the healthy state and the boundary equilibria of the system's
+`equilibria.Analysis`.  A corner bound for a stable coexistence point
+finds no ball there and runs to the stop rule.  `integrate` returns whole
+trajectories, so it never retires.
 """
 
 from __future__ import annotations
@@ -41,9 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model
+from . import equilibria, model, speclin
 from .exceptions import DomainError, IntegrationError
-from .equilibria import Analysis
+from .equilibria import Analysis, Equilibrium
 from .model import BivirusSystem, State
 
 log = logging.getLogger(__name__)
@@ -354,7 +358,11 @@ class SandwichResult:
     condition shares the common limit.  When they disagree, all interior
     limits lie in the closed hyperrectangle spanned by (limit_A, limit_B)
     (`hyperrectangle_contains`) and an unstable equilibrium sits strictly
-    inside it.  `jittered` says which corners were retried.
+    inside it.  `retired` says which corners retired in a certified ball
+    of attraction: such a corner's limit is the ball's centre, an
+    equilibrium of the system's `equilibria.Analysis`, so two corners
+    retired in the same ball agree exactly and their common limit is
+    proved, not estimated.  `jittered` says which corners were retried.
     """
 
     limit_A: State | None
@@ -365,6 +373,7 @@ class SandwichResult:
     traj_A: Trajectory
     traj_B: Trajectory
     jittered: tuple = (False, False)
+    retired: tuple = (False, False)
 
     @property
     def common_limit(self) -> State | None:
@@ -381,46 +390,75 @@ def sandwich_test(sys: BivirusSystem | Analysis,
                   stop_tol: float = DEFAULT_STOP_TOL,
                   seed: int = 0) -> SandwichResult:
     """Integrate from the two eta-inset corners and compare limits.  sys
-    is a system, validated first, or its `equilibria.Analysis`.
+    is a system, validated first (`equilibria.analysis`), or its
+    `equilibria.Analysis`.
 
-    Both corners run as one lockstep batch of the `integrate` stepper.  A
-    corner run that fails to converge is retried once from the corner
-    perturbed by a deterministic jitter of magnitude eta/10 (alternating
-    sign pattern, rotated by `seed`); the retries form a second batch.  If
-    a corner still fails, the result is inconclusive and carries both
-    partial trajectories.  A start shares its step sizes with the rest of
-    its batch, so its limit may differ from a lone `integrate` run by
-    about `RTOL`.
+    Both corners run as one lockstep batch of the `integrate` stepper.
+    Around the healthy state and each boundary equilibrium of the analysis
+    the transformed Jacobian may certify a ball of attraction
+    (`_attraction_ball`).  A corner found at a record mark within half a
+    ball's radius retires there, and its limit is that equilibrium's
+    coordinates.  Any other corner runs to its stop rule; one bound for a
+    stable coexistence point always does, since that point gets no ball
+    without the Newton enumeration.  A corner run that fails to converge is
+    retried once from the corner perturbed by a deterministic jitter of
+    magnitude eta/10 (alternating sign pattern, rotated by `seed`); the
+    retries form a second batch.  If a corner still fails, the result is
+    inconclusive and carries both partial trajectories.  A corner stopped
+    by the rule shares its step sizes with the rest of its batch, so its
+    limit may differ from a lone `integrate` run by about `RTOL`.
     """
-    sys = _validated(sys)
-    corners = _corner_states(sys.n, eta)
-    trajs = _integrate_starts(sys, corners, t_end, stop_tol=stop_tol)
+    a = equilibria.analysis(sys)
+    sys, n = a.system, a.system.n
+    corners = _corner_states(n, eta)
+    zero = np.zeros(n)
+    x1bar, x2bar = a.bars
+    named = [(equilibria.KIND_HEALTHY, State.zero(n))]
+    if x1bar is not None:
+        named.append((equilibria.KIND_BOUNDARY_1, State(x1bar, zero)))
+    if x2bar is not None:
+        named.append((equilibria.KIND_BOUNDARY_2, State(zero, x2bar)))
+    balls = _AttractionBalls(sys, [s for _, s in named], stop_tol)
+    kw = dict(stop_tol=stop_tol, retire=lambda y: balls.locate(y) >= 0)
+    trajs = _integrate_starts(sys, corners, t_end, **kw)
     failed = [i for i, tr in enumerate(trajs)
               if tr.outcome.kind != "converged"]
     if failed:
-        bump = (eta / 10.0) * _jitter_pattern(2 * sys.n, seed)
+        bump = (eta / 10.0) * _jitter_pattern(2 * n, seed)
         retry_starts = [
             State.from_vector(np.clip(corners[i].as_vector() + bump, 0.0, 1.0))
             for i in failed]
-        retries = _integrate_starts(sys, retry_starts, t_end,
-                                    stop_tol=stop_tol)
+        retries = _integrate_starts(sys, retry_starts, t_end, **kw)
         for i, retry in zip(failed, retries):
             if retry.outcome.kind == "converged":
                 trajs[i] = retry
-    traj_A, traj_B = trajs
-    ok_A = traj_A.outcome.kind == "converged"
-    ok_B = traj_B.outcome.kind == "converged"
-    conclusive = ok_A and ok_B
-    limit_A = traj_A.final_state if ok_A else None
-    limit_B = traj_B.final_state if ok_B else None
+    held = balls.locate(np.array([tr.final_vector for tr in trajs]))
+    limits, notes = [], []
+    for tag, tr, k in zip("AB", trajs, held):
+        if k >= 0:
+            limits.append(named[balls.owners[k]][1])
+            how = f"retired in the ball of {named[balls.owners[k]][0]}"
+        elif tr.outcome.kind == "converged":
+            limits.append(tr.final_state)
+            how = "stopped by the stop rule"
+        else:
+            limits.append(None)
+            how = "unconverged"
+        notes.append(f"corner {tag} {how} at t = {tr.times[-1]:g}")
+    log.debug("sandwich: %s; %d balls, radii %.3g to %.3g in their weighted "
+              "norms", ", ".join(notes), len(balls.radii),
+              balls.radii.min(initial=np.inf), balls.radii.max(initial=0.0))
+    limit_A, limit_B = limits
+    conclusive = limit_A is not None and limit_B is not None
     agree = False
     if conclusive:
         gap = float(np.max(np.abs(limit_A.as_vector() - limit_B.as_vector())))
         agree = gap <= tol
     return SandwichResult(limit_A=limit_A, limit_B=limit_B, eta=eta,
                           agree=agree, conclusive=conclusive,
-                          traj_A=traj_A, traj_B=traj_B,
-                          jittered=(0 in failed, 1 in failed))
+                          traj_A=trajs[0], traj_B=trajs[1],
+                          jittered=(0 in failed, 1 in failed),
+                          retired=tuple(bool(k >= 0) for k in held))
 
 
 def hyperrectangle_contains(result: SandwichResult, s: State) -> bool:
@@ -487,26 +525,34 @@ def nearest_equilibrium(vectors, equilibria):
                     LABEL_UNRESOLVED)
 
 
-def _attraction_ball(sys, e, stop_tol):
-    """(v, radius) of a certified ball of attraction around the equilibrium
-    e, or None when e gets none.
+def _state_of(centre):
+    """The State of centre: a State, or an Equilibrium's state."""
+    return centre.state if isinstance(centre, Equilibrium) else centre
 
-    With M = P J(e) P the Metzler transformed Jacobian and v = (-M)^-1 1,
-    v > 0 certifies M Hurwitz, and mu = max_i (Mv)_i / v_i < 0 is the
-    logarithmic norm of M in the weighted norm ||z||_v = max_i |z_i| / v_i
-    (Soderlind, BIT 46, 2006).  The field's remainder beyond its
-    linearization at e is -(d1 + d2) o (Bk dk) for the offsets d = y - e,
-    at most c ||d||_v^2 in that norm, with c = max_i (v1_i + v2_i)
-    max((B1 v1)_i / v1_i, (B2 v2)_i / v2_i).  So ||y - e||_v shrinks along
-    the exact flow from every y with ||y - e||_v < -mu / c, the radius,
-    and y converges to e.  Only stable entries whose residual on sys is
-    at most stop_tol get a ball.
+
+def _attraction_ball(sys, centre, stop_tol):
+    """(v, radius) of a certified ball of attraction around `centre` (a
+    State, or an Equilibrium standing for its state), or None when the
+    certificate fails there.
+
+    The certificate is its own classification.  M = P J(centre) P is
+    Metzler, and v = (-M)^-1 1 > 0 gives M v = -1 < 0, so M is Hurwitz.
+    mu = max_i (Mv)_i / v_i is the logarithmic norm of M in the weighted
+    norm ||z||_v = max_i |z_i| / v_i (Soderlind, BIT 46, 2006); it bounds
+    the spectral abscissa from above, and a ball needs mu below
+    -speclin.CLASSIFY_BAND, so a centre with a ball is classed stable too.
+    The field's remainder beyond its linearization at the centre e is
+    -(d1 + d2) o (Bk dk) for the offsets d = y - e, at most c ||d||_v^2 in
+    that norm, with c = max_i (v1_i + v2_i) max((B1 v1)_i / v1_i,
+    (B2 v2)_i / v2_i).  So ||y - e||_v shrinks along the exact flow from
+    every y with ||y - e||_v < -mu / c, the radius, and y converges to e.
+    Only centres whose residual on sys is at most stop_tol get a ball.
     """
-    if (e.spectrum_class != "stable"
-            or model.residual(sys, e.state) > stop_tol):
+    s = _state_of(centre)
+    if model.residual(sys, s) > stop_tol:
         return None
     n = sys.n
-    M = model.transformed_jacobian(sys, e.state)
+    M = model.transformed_jacobian(sys, s)
     try:
         v = np.linalg.solve(-M, np.ones(2 * n))
     except np.linalg.LinAlgError:
@@ -514,7 +560,7 @@ def _attraction_ball(sys, e, stop_tol):
     if not (v > 0.0).all():
         return None
     mu = float(np.max(M @ v / v))
-    if not mu < 0.0:
+    if not mu < -speclin.CLASSIFY_BAND:
         return None
     v1, v2 = v[:n], v[n:]
     c = float(np.max((v1 + v2) * np.maximum(sys.B1 @ v1 / v1,
@@ -523,21 +569,23 @@ def _attraction_ball(sys, e, stop_tol):
 
 
 class _AttractionBalls:
-    """The certified balls of attraction (`_attraction_ball`) around the
-    entries of `equilibria`.  A state within half a ball's radius of its
-    centre is certified to converge to that centre; the other half of the
-    radius absorbs the integrator's error."""
+    """The certified balls of attraction (`_attraction_ball`) around those
+    of `centres` (States or Equilibria) that get one; ball k surrounds
+    centres[owners[k]].  A state within half a ball's radius of its centre
+    is certified to converge to that centre; the other half of the radius
+    absorbs the integrator's error."""
 
-    def __init__(self, sys, equilibria, stop_tol):
-        centres, inv_v, radii = [], [], []
-        for e in equilibria:
+    def __init__(self, sys, centres, stop_tol):
+        self.owners, rows, inv_v, radii = [], [], [], []
+        for i, e in enumerate(centres):
             ball = _attraction_ball(sys, e, stop_tol)
             if ball is not None:
-                centres.append(e.state.as_vector())
+                self.owners.append(i)
+                rows.append(_state_of(e).as_vector())
                 inv_v.append(1.0 / ball[0])
                 radii.append(ball[1])
         d = 2 * sys.n
-        self.centres = np.array(centres).reshape(-1, d)
+        self.centres = np.array(rows).reshape(-1, d)
         self.inv_v = np.array(inv_v).reshape(-1, d)
         self.radii = np.array(radii)
 
@@ -563,11 +611,12 @@ def basin_probe(sys: BivirusSystem | Analysis, equilibria,
     All feasible, strictly interior starts run as one lockstep batch of the
     `integrate` stepper up to DEFAULT_T_END, recording every 5 time units;
     each start keeps its own stop rule at DEFAULT_STOP_TOL, and its limit
-    may differ from a lone `integrate` run by about `RTOL`.  Around every
-    stable entry the transformed Jacobian certifies a ball of attraction
-    (see `_attraction_ball`); a start found at a record mark within half
-    that radius has its limit certified, leaves the batch there and
-    reports that equilibrium as its final state.
+    may differ from a lone `integrate` run by about `RTOL`.  Around each
+    entry the transformed Jacobian may certify a ball of attraction (see
+    `_attraction_ball`; the entries that get one are classed stable); a
+    start found at a record mark within half that radius has its limit
+    certified, leaves the batch there and reports that equilibrium as its
+    final state.
     """
     sys = _validated(sys)
     grid = grid or GridSpec()

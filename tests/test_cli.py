@@ -199,7 +199,7 @@ class TestSandwichCmd:
 
     def test_inconclusive_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", case_config("case2"))
-        assert cli.main(["sandwich", "--config", cfg, "--t-end", "5"]) == 3
+        assert cli.main(["sandwich", "--config", cfg, "--t-end", "2"]) == 3
         assert "INCONCLUSIVE" in capsys.readouterr().out
 
     def test_json_output(self, tmp_path, capsys):

@@ -263,6 +263,25 @@ class TestFindCoexistenceNewton:
             bv.find_coexistence_newton(sys, seeds=[np.full(4, 0.3), seed])
 
 
+class TestMidpointSeed:
+    def test_newton_jacobian_singular_at_the_midpoint_seed(self):
+        # J (x1_bar, -x2_bar) = 0 at the seed (x1_bar / 2, x2_bar / 2) of
+        # every system (proof in `default_seed_grid`)
+        rng = np.random.default_rng(404)
+        eps = np.finfo(float).eps
+        for n in range(3, 9):
+            for _ in range(3):
+                a = equilibria.analysis(random_supercritical_system(rng, n))
+                x1bar, x2bar = a.bars
+                mid = np.concatenate([x1bar, x2bar]) / 2.0
+                assert any(np.array_equal(s.as_vector(), mid)
+                           for s in equilibria.default_seed_grid(a))
+                J = model.jacobian(a.ns, mid)
+                u = np.concatenate([x1bar, -x2bar])
+                assert (np.abs(J @ u).max()
+                        <= 16 * eps * np.abs(J).sum(axis=1).max())
+
+
 #: A two-node system with two coexistence equilibria, one stable and one
 #: unstable (found by a seeded search over entries from U(0.05, 3)).
 TWO_ROOT_B1 = np.array([[2.01, 2.2], [0.75, 1.83]])

@@ -235,6 +235,31 @@ class TestTransformedJacobian:
                 pytest.approx(max(lam_J.real), abs=1e-9)
 
 
+    def test_negative_rate_is_named(self):
+        # an unvalidated system with a negative infection rate: the
+        # entries of P J P it makes negative are blamed on that rate
+        sys = BivirusSystem(B1, EYE, [[2.1, -0.5], [1.885, 1.1]], EYE)
+        s = State([0.2, 0.2], [0.2, 0.2])
+        with pytest.raises(DomainError, match=r"B2\[0, 1\] = -0.5 is a "
+                                              "negative infection rate"):
+            bv.transformed_jacobian(sys, s)
+        with pytest.raises(DomainError, match="negative infection rate"):
+            equilibria.classify_state(sys, s)
+
+    def test_lost_structure_on_valid_rates_is_a_bug(self, monkeypatch):
+        sys = CASES["case2"].system()
+        jacobian = model.jacobian
+
+        def broken(sys_, s):
+            J = jacobian(sys_, s)
+            J[0, 1] = -1.0
+            return J
+
+        monkeypatch.setattr(model, "jacobian", broken)
+        with pytest.raises(AssertionError, match="lost Metzler structure"):
+            bv.transformed_jacobian(sys, State([0.2, 0.2], [0.2, 0.2]))
+
+
 def _near_face_state(rng, n):
     """A state on the faces of the feasible set or up to CONTAINMENT_TOL
     beyond them: per node, x1, x2 or both at -u tol, or x1 + x2 at

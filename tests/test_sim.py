@@ -249,7 +249,7 @@ class TestSandwich:
             bv.sandwich_test(CASES["case2"].system(), eta=0.5)
 
     def test_tiny_budget_inconclusive(self):
-        res = bv.sandwich_test(CASES["case2"].system(), t_end=5.0)
+        res = bv.sandwich_test(CASES["case2"].system(), t_end=2.0)
         assert not res.conclusive
         assert len(res.traj_A.times) > 1   # partial trajectories retained
 
@@ -267,6 +267,70 @@ class TestSandwich:
                                 tol=1e-8)
             assert bv.order_leq(State.from_vector(c), State.from_vector(b),
                                 tol=1e-8)
+
+
+class TestSandwichRetirement:
+    """Corners retire in the certified balls of attraction around the
+    healthy state and the boundary equilibria of the analysis."""
+
+    def test_case2_corners_retire_on_the_profiles(self, caplog):
+        a = equilibria.analysis(CASES["case2"].system())
+        x1bar, x2bar = a.bars
+        zero = np.zeros(2)
+        with caplog.at_level(logging.DEBUG, logger="bivirus.sim"):
+            res = bv.sandwich_test(a)
+        assert res.conclusive and not res.agree
+        assert res.retired == (True, True)
+        assert res.traj_A.times[-1] < 10.0 and res.traj_B.times[-1] < 10.0
+        for got, want in ((res.limit_A, (zero, x2bar)),
+                          (res.limit_B, (x1bar, zero))):
+            assert np.array_equal(got.x1, want[0])
+            assert np.array_equal(got.x2, want[1])
+        (line,) = [r.getMessage() for r in caplog.records
+                   if r.name == "bivirus.sim"]
+        assert re.match(r"sandwich: corner A retired in the ball of "
+                        r"boundary_virus2 at t = \d, corner B retired in the "
+                        r"ball of boundary_virus1 at t = \d; 2 balls", line)
+
+    def test_case1_critical_boundary_has_no_ball(self):
+        sys = CASES["case1"].system()
+        res = bv.sandwich_test(sys)
+        assert res.conclusive and res.retired == (False, False)
+        z = bv.single_virus_endemic(B1, EYE)
+        for limit in (res.limit_A, res.limit_B):
+            alpha = float(np.mean(limit.x1 / z))
+            line_pt = np.concatenate([alpha * z, (1 - alpha) * z])
+            assert np.max(np.abs(limit.as_vector() - line_pt)) <= 1e-6
+
+    @pytest.mark.parametrize("name", ["case2", "case4"])
+    def test_retired_limits_match_lone_runs(self, name):
+        sys = CASES[name].system()
+        res = bv.sandwich_test(sys)
+        assert res.retired == (True, True)
+        for corner, limit in zip(sim._corner_states(2, res.eta),
+                                 (res.limit_A, res.limit_B)):
+            lone = bv.integrate(sys, corner)
+            assert lone.outcome.kind == "converged"
+            assert np.max(np.abs(lone.final_vector
+                                 - limit.as_vector())) <= 1e-8
+
+    def test_no_ball_at_a_repelling_healthy_state(self):
+        for name in ("case1", "case2", "case3", "case4"):
+            sys = CASES[name].system()
+            assert equilibria.analysis(sys).R[0] > 1.0
+            assert sim._attraction_ball(sys, State.zero(2),
+                                        sim.DEFAULT_STOP_TOL) is None
+
+    def test_no_ball_at_a_critical_boundary(self):
+        sys = CASES["case1"].system()
+        a = equilibria.analysis(sys)
+        assert [v.verdict for v in bv.boundary_stability(a)] == \
+            ["critical", "critical"]
+        x1bar, x2bar = a.bars
+        zero = np.zeros(2)
+        for boundary in (State(x1bar, zero), State(zero, x2bar)):
+            assert sim._attraction_ball(sys, boundary,
+                                        sim.DEFAULT_STOP_TOL) is None
 
 
 class TestBasinProbe:
