@@ -26,21 +26,33 @@ every rate (time) leaves the verdict unchanged.  A run the rule stops is
 With `stop_tol=None` a run goes on to t_end and the same rule, at
 `DEFAULT_STOP_TOL`, judges its final record alone.
 
-A batch run also retires early once, at a record mark, it lies within
-half the radius of a certified ball of attraction around an equilibrium
-(`_attraction_ball`, from the logarithmic norm of the Metzler transformed
-Jacobian); it then reports that equilibrium as its limit.  `basin_probe`
-builds its balls around the equilibria it is given, and `sandwich_test`
-around the healthy state and the boundary equilibria of the system's
-`equilibria.Analysis`.  A corner bound for a stable coexistence point
-finds no ball there and runs to the stop rule.  `integrate` returns whole
-trajectories, so it never retires.
+A batch run also retires early at a record mark once its limit is
+certified; it then reports that equilibrium as its limit, bitwise.  The
+certificate (`_AttractionBalls`) has two parts.  The first is a ball of
+attraction around an equilibrium e (`_attraction_ball`, from the
+logarithmic norm of the Metzler transformed Jacobian): a run within half
+its radius converges to e.  The second is the order: when a run retires
+to e, every state recorded on its path flows to e too, and a running
+state y bracketed by two such points, z_lo <=K y <=K z_hi, stays between
+their flows for all time (Kamke; Hirsch, J. reine angew. Math. 383,
+1988; Smith, Monotone Dynamical Systems, AMS 1995) and so converges to
+e as well.  Both parts rest on the same evidence, a numerical run that
+entered a half ball, so path retirement is exactly as rigorous as ball
+retirement.  `basin_probe` builds its balls around the equilibria it is
+given, and `sandwich_test` around the healthy state and the boundary
+equilibria of the system's `equilibria.Analysis`.  The two corners start
+at the extremes of the order, where no path brackets them; on the
+bundled cases neither is bracketed later either, so the sandwich runs as
+it would with the balls alone.  A corner bound for a stable coexistence
+point finds no ball there and runs to the stop rule.  `integrate`
+returns whole trajectories, so it never retires.
 """
 
 from __future__ import annotations
 
 import bisect
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,18 +251,24 @@ def _rate_scale(sys):
     return float(max(np.diag(sys.D1).max(), np.diag(sys.D2).max()))
 
 
-def _stop_rule(stop_tol, rate, window, retire=None, start=0.0):
+def _stop_rule(stop_tol, rate, window, certificate=None, start=0.0):
     """Per-row stop: field residual <= stop_tol * rate and no drift beyond
     10 stop_tol over a trailing window that is at least half populated.
     The residual is read from the slopes the stepper already holds.
-    `retire`, when given, maps the current (k, d) states to a boolean mask
-    of rows to stop at once.  Records before `start` stop nothing."""
+    `certificate`, when given, is an `_AttractionBalls`: a row it locates
+    stops at once, and its recorded path joins the certificate of the
+    equilibrium it retired to.  Records before `start` stop nothing."""
     def stop_check(t, rows, times, records, fy):
         if t < start:
             return np.zeros(len(rows), dtype=bool)
         y = records[-1][rows]
-        done = (np.zeros(len(rows), dtype=bool) if retire is None
-                else retire(y))
+        done = np.zeros(len(rows), dtype=bool)
+        if certificate is not None:
+            held = certificate.locate(y)
+            done = held >= 0
+            if done.any():
+                certificate.certify(held[done], np.stack(
+                    [frame[rows[done]] for frame in records]))
         calm = np.max(np.abs(fy), axis=1) <= stop_tol * rate
         t_floor = t - window
         first = bisect.bisect_left(times, t_floor)
@@ -263,10 +281,10 @@ def _stop_rule(stop_tol, rate, window, retire=None, start=0.0):
 
 
 def _integrate_starts(sys, starts, t_end, *, record_interval=1.0,
-                      stop_tol=DEFAULT_STOP_TOL, retire=None):
+                      stop_tol=DEFAULT_STOP_TOL, certificate=None):
     """One lockstep batch of `integrate` runs from t = 0, one Trajectory
-    per start.  A row that the stop rule or `retire` (see `_stop_rule`)
-    stops is converged; any other row is budget_exhausted.
+    per start.  A row that the stop rule or `certificate` (see
+    `_stop_rule`) stops is converged; any other row is budget_exhausted.
 
     The drift window is 10% of t_end, capped at 20 time units but never
     shorter than two record steps.  With stop_tol None the rule judges
@@ -280,7 +298,8 @@ def _integrate_starts(sys, starts, t_end, *, record_interval=1.0,
     start = 0.0
     if stop_tol is None:   # judge the stepper's last record only
         stop_tol, start = DEFAULT_STOP_TOL, t_end - 1e-12 * max(1.0, t_end)
-    stop_check = _stop_rule(stop_tol, _rate_scale(sys), window, retire, start)
+    stop_check = _stop_rule(stop_tol, _rate_scale(sys), window, certificate,
+                            start)
     runs = _integrate_flat(
         f, np.array([s.as_vector() for s in starts]), 0.0, t_end, RTOL, ATOL,
         record_interval, guard=_containment_guard(sys.n),
@@ -328,12 +347,20 @@ def integrate(sys: BivirusSystem | Analysis, s0: State,
 # ---------------------------------------------------------------------------
 # the orthant order
 
+def _order_leq_rows(a, b, tol=0.0):
+    """`order_leq` on flat state vectors (x1, x2) along the last axis,
+    broadcast over the others."""
+    n = np.shape(a)[-1] // 2
+    return ((b[..., :n] >= a[..., :n] - tol).all(axis=-1)
+            & (b[..., n:] <= a[..., n:] + tol).all(axis=-1))
+
+
 def order_leq(s1: State, s2: State, tol: float = 0.0) -> bool:
     """The order the flow preserves: s1 <= s2 iff s2.x1 >= s1.x1 and
     s2.x2 <= s1.x2 entrywise (virus 1 up, virus 2 down)."""
     if s1.n != s2.n:
         raise DomainError("state dimensions do not match")
-    return bool((s2.x1 >= s1.x1 - tol).all() and (s2.x2 <= s1.x2 + tol).all())
+    return bool(_order_leq_rows(s1.as_vector(), s2.as_vector(), tol))
 
 
 def _corner_states(n: int, eta: float):
@@ -419,7 +446,7 @@ def sandwich_test(sys: BivirusSystem | Analysis,
     if x2bar is not None:
         named.append((equilibria.KIND_BOUNDARY_2, State(zero, x2bar)))
     balls = _AttractionBalls(sys, [s for _, s in named], stop_tol)
-    kw = dict(stop_tol=stop_tol, retire=lambda y: balls.locate(y) >= 0)
+    kw = dict(stop_tol=stop_tol, certificate=balls)
     trajs = _integrate_starts(sys, corners, t_end, **kw)
     failed = [i for i, tr in enumerate(trajs)
               if tr.outcome.kind != "converged"]
@@ -499,8 +526,9 @@ LABEL_INVALID = -2
 @dataclass
 class ProbeResult:
     """Basin labels over a grid of starts.  `final_states` holds each
-    start's last integrated state, or the equilibrium itself for a start
-    retired inside that equilibrium's certified ball of attraction; NaN
+    start's last integrated state, or the equilibrium itself, bitwise, for
+    a start retired to it: inside its certified ball of attraction, or
+    between two certified paths bound for it (`_AttractionBalls`); NaN
     where the start is invalid."""
 
     labels: np.ndarray        # (n_a, n_b) ints: index into `legend`, or negative
@@ -568,12 +596,47 @@ def _attraction_ball(sys, centre, stop_tol):
     return v, (-mu / c if c > 0.0 else np.inf)
 
 
+def _below_some(y, floor):
+    """For each row of y, whether some row of `floor` lies <=K below it."""
+    return _order_leq_rows(floor, y[:, None, :]).any(axis=1)
+
+
+#: Entries of the largest pairwise <=K comparison `_merge_lowest` makes.
+_MERGE_CELLS = 1 << 18
+
+
+def _merge_lowest(lowest, points):
+    """The <=K-minimal rows of `lowest` (minimal already) and `points`
+    together, one of each run of equal rows.  The points join a block at
+    a time, each block first thinned by the minimal rows so far, so the
+    pairwise comparison stays within _MERGE_CELLS entries however many
+    runs retire at once."""
+    size = max(1, math.isqrt(_MERGE_CELLS // points.shape[1]))
+    for i in range(0, len(points), size):
+        block = points[i:i + size]
+        block = block[~_below_some(block, lowest)]
+        le = _order_leq_rows(block[:, None, :], block)   # le[i, j]: b_i <= b_j
+        earlier = np.triu(np.ones(le.shape, dtype=bool), 1)
+        block = block[~(le & (~le.T | earlier)).any(axis=0)]
+        lowest = np.concatenate([lowest[~_below_some(lowest, block)], block])
+    return lowest
+
+
 class _AttractionBalls:
-    """The certified balls of attraction (`_attraction_ball`) around those
-    of `centres` (States or Equilibria) that get one; ball k surrounds
-    centres[owners[k]].  A state within half a ball's radius of its centre
-    is certified to converge to that centre; the other half of the radius
-    absorbs the integrator's error."""
+    """The retirement certificate of a batch: the certified balls of
+    attraction (`_attraction_ball`) around those of `centres` (States or
+    Equilibria) that get one, and the certified paths bound for each; ball
+    k surrounds centres[owners[k]].
+
+    A state within half a ball's radius of its centre is certified to
+    converge to that centre; the other half of the radius absorbs the
+    integrator's error.  A run that retires to ball k hands its recorded
+    path to `certify`, and every point on it flows to that centre.  A state
+    y with z_lo <=K y <=K z_hi for two such points of one ball stays
+    between their flows (Kamke's order preservation), so it converges to
+    that centre as well.  Each ball keeps only the <=K-minimal points of
+    its paths (`floors`) and, negated, the <=K-maximal ones (`ceilings`):
+    they bracket exactly the states the whole paths do."""
 
     def __init__(self, sys, centres, stop_tol):
         self.owners, rows, inv_v, radii = [], [], [], []
@@ -588,16 +651,38 @@ class _AttractionBalls:
         self.centres = np.array(rows).reshape(-1, d)
         self.inv_v = np.array(inv_v).reshape(-1, d)
         self.radii = np.array(radii)
+        self.floors = [np.empty((0, d)) for _ in radii]
+        self.ceilings = [np.empty((0, d)) for _ in radii]
+
+    def in_half_ball(self, y):
+        """(rows, balls) mask: row i of y lies within half of ball k's
+        radius."""
+        dist = np.max(np.abs(y[:, None, :] - self.centres) * self.inv_v,
+                      axis=2)
+        return dist < 0.5 * self.radii
 
     def locate(self, y):
         """For each row of y, the index of the first ball holding it within
-        half its radius, or -1."""
+        half its radius or between two points of its certified paths, or
+        -1."""
         if not len(self.radii):
             return np.full(len(y), -1)
-        dist = np.max(np.abs(y[:, None, :] - self.centres) * self.inv_v,
-                      axis=2)
-        inside = dist < 0.5 * self.radii
+        inside = self.in_half_ball(y)
+        for k, (floor, ceiling) in enumerate(zip(self.floors, self.ceilings)):
+            if len(floor):
+                inside[:, k] |= (_below_some(y, floor)
+                                 & _below_some(-y, ceiling))
         return np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
+
+    def certify(self, held, paths):
+        """Add every point of paths[:, i], the (T, d) recorded path of a
+        run that retired to ball held[i], to that ball's certified
+        points."""
+        for k in set(held.tolist()):
+            points = paths[:, held == k].reshape(-1, paths.shape[2])
+            self.floors[k] = _merge_lowest(self.floors[k], points)
+            # negation reverses the order: max(P) = -min(-P)
+            self.ceilings[k] = _merge_lowest(self.ceilings[k], -points)
 
 
 def basin_probe(sys: BivirusSystem | Analysis, equilibria,
@@ -613,10 +698,18 @@ def basin_probe(sys: BivirusSystem | Analysis, equilibria,
     each start keeps its own stop rule at DEFAULT_STOP_TOL, and its limit
     may differ from a lone `integrate` run by about `RTOL`.  Around each
     entry the transformed Jacobian may certify a ball of attraction (see
-    `_attraction_ball`; the entries that get one are classed stable); a
+    `_attraction_ball`; the entries that get one are classed stable).  A
     start found at a record mark within half that radius has its limit
     certified, leaves the batch there and reports that equilibrium as its
-    final state.
+    final state; every state recorded on its path is then certified to
+    flow to the same equilibrium.  A start found at a record mark between
+    two such points, z_lo <=K y <=K z_hi, retires there too: the flow
+    preserves the order (Kamke), so its run stays between two runs that
+    converge to that equilibrium and converges there as well.  This rests
+    on the same numerical evidence as the ball itself, a recorded run that
+    entered a half ball, so it is exactly as rigorous.  The `basin probe:`
+    DEBUG line counts the two kinds of retirement apart and gives the time
+    of the last one.
     """
     sys = _validated(sys)
     grid = grid or GridSpec()
@@ -636,27 +729,33 @@ def basin_probe(sys: BivirusSystem | Analysis, equilibria,
                 cells.append((i, j))
                 starts.append(s0)
     balls = _AttractionBalls(sys, eq_list, DEFAULT_STOP_TOL)
-    retired = by_rule = 0
+    by_ball = by_path = by_rule = 0
+    last = "none"
     if starts:
         trajs = _integrate_starts(sys, starts, DEFAULT_T_END,
-                                  record_interval=5.0,
-                                  retire=lambda y: balls.locate(y) >= 0)
+                                  record_interval=5.0, certificate=balls)
         ends = np.array([traj.final_vector for traj in trajs])
         held = balls.locate(ends)
-        in_ball = held >= 0
-        ends[in_ball] = balls.centres[held[in_ball]]
+        retired = held >= 0
+        in_ball = retired & balls.in_half_ball(ends).any(axis=1)
+        ends[retired] = balls.centres[held[retired]]
         stopped = np.array([traj.outcome.kind == "converged" for traj in trajs])
         nearest = nearest_equilibrium(ends, eq_list)
         for cell, end, k, ok in zip(cells, ends, nearest, stopped):
             finals[cell] = end
             labels[cell] = k if ok else LABEL_UNRESOLVED
-        retired = int(np.count_nonzero(in_ball))
-        by_rule = int(np.count_nonzero(stopped & ~in_ball))
-    log.debug("basin probe: %d starts retired in a ball, %d stopped by the "
-              "stop rule, %d unresolved; %d balls, radii %.3g to %.3g in their "
-              "weighted norms",
-              retired, by_rule,
-              int(np.count_nonzero(labels == LABEL_UNRESOLVED)),
+        by_ball = int(np.count_nonzero(in_ball))
+        by_path = int(np.count_nonzero(retired & ~in_ball))
+        by_rule = int(np.count_nonzero(stopped & ~retired))
+        ages = [tr.times[-1] for tr, gone in zip(trajs, retired) if gone]
+        if ages:
+            last = f"{max(ages):g}"
+    log.debug("basin probe: %d starts retired in a ball, %d between two "
+              "certified paths, %d stopped by the stop rule, %d unresolved; "
+              "last retirement at t = %s; %d balls, radii %.3g to %.3g in "
+              "their weighted norms",
+              by_ball, by_path, by_rule,
+              int(np.count_nonzero(labels == LABEL_UNRESOLVED)), last,
               len(balls.radii), balls.radii.min(initial=np.inf),
               balls.radii.max(initial=0.0))
     return ProbeResult(labels=labels, final_states=finals,

@@ -189,6 +189,27 @@ class TestOrderLeq:
         assert bv.order_leq(bottom, top)
         assert not bv.order_leq(top, bottom)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_the_row_form(self, n):
+        # Lattice coordinates, so equal entries and ordered pairs occur.
+        rng = np.random.default_rng(n)
+        lattice = np.linspace(0.0, 1.0, 3)
+        a = rng.choice(lattice, size=(300, 2 * n))
+        b = rng.choice(lattice, size=(300, 2 * n))
+        b[::3] = np.where(rng.random((100, 2 * n)) < 0.5, a[::3], b[::3])
+        for tol in (0.0, 0.3):
+            rows = sim._order_leq_rows(a, b, tol)
+            lone = [bv.order_leq(State.from_vector(u), State.from_vector(w),
+                                 tol=tol) for u, w in zip(a, b)]
+            np.testing.assert_array_equal(rows, lone)
+            assert rows.any() and not rows.all()
+            pairs = sim._order_leq_rows(a[:20, None, :], b[:20], tol)
+            assert pairs.shape == (20, 20)
+            for i, j in np.ndindex(pairs.shape):
+                assert pairs[i, j] == bv.order_leq(State.from_vector(a[i]),
+                                                   State.from_vector(b[j]),
+                                                   tol=tol)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             bv.order_leq(State([0.1], [0.1]), State([0.1, 0.1], [0.1, 0.1]))
@@ -583,10 +604,14 @@ class TestAttractionBall:
         np.testing.assert_array_equal(probe.labels, lone)
         (line,) = [r.getMessage() for r in caplog.records]
         counts = re.match(r"basin probe: (\d+) starts retired in a ball, "
+                          r"(\d+) between two certified paths, "
                           r"(\d+) stopped by the stop rule, (\d+) unresolved",
                           line).groups()
-        retired, by_rule, unresolved = map(int, counts)
-        assert retired > 0 and retired + by_rule == 55 and unresolved == 0
+        by_ball, by_path, by_rule, unresolved = map(int, counts)
+        assert by_ball > 0 and by_ball + by_path + by_rule == 55
+        assert unresolved == 0
+        if name == "case2":
+            assert by_path > 0
 
     def test_inflated_ball_breaks_the_labels(self, lone_labels, monkeypatch):
         # Balls inflated 300x, so that their retirement half holds the
@@ -611,6 +636,83 @@ class TestAttractionBall:
         probe = bv.basin_probe(sys, eqs, sim.GridSpec(n_a=10, n_b=10))
         assert reached == [True, True]
         assert (probe.labels != lone).sum() > 0
+
+
+def _probe_line(caplog):
+    """(ball retirements, path retirements, time of the last retirement)
+    from the one `basin probe:` DEBUG line in caplog."""
+    (line,) = [r.getMessage() for r in caplog.records
+               if r.getMessage().startswith("basin probe:")]
+    m = re.match(r"basin probe: (\d+) starts retired in a ball, (\d+) "
+                 r"between two certified paths, .*; last retirement at "
+                 r"t = ([0-9.e+]+);", line)
+    return int(m.group(1)), int(m.group(2)), float(m.group(3))
+
+
+class TestPathRetirement:
+    def test_case2_paths_retire_early(self, caplog):
+        # Without path certificates the last of the 36 starts retires in
+        # a ball at t = 190-220; bracketed starts leave by t = 75-95.
+        sys = CASES["case2"].system()
+        eqs = bv.enumerate_equilibria(sys).equilibria
+        with caplog.at_level(logging.DEBUG, logger="bivirus.sim"):
+            probe = bv.basin_probe(sys, eqs, sim.GridSpec(n_a=8, n_b=8))
+        by_ball, by_path, last = _probe_line(caplog)
+        assert by_path > 0 and by_ball + by_path == 36
+        assert last <= 120.0
+        assert (probe.labels >= 0).sum() == 36
+
+    def test_misfiled_path_breaks_the_labels(self, lone_labels, monkeypatch):
+        # Paths bound for the virus-2 boundary point are filed under the
+        # virus-1 ball, so starts they bracket retire to the wrong point.
+        eqs, lone = lone_labels["case2"]
+        certify = sim._AttractionBalls.certify
+
+        def misfiled(self, held, paths):
+            kinds = [eqs[i].kind for i in self.owners]
+            e1 = kinds.index("boundary_virus1")
+            e2 = kinds.index("boundary_virus2")
+            certify(self, np.where(held == e2, e1, held), paths)
+
+        monkeypatch.setattr(sim._AttractionBalls, "certify", misfiled)
+        probe = bv.basin_probe(CASES["case2"].system(), eqs,
+                               sim.GridSpec(n_a=10, n_b=10))
+        assert (probe.labels != lone).sum() > 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_pruned_sets_bracket_what_the_paths_do(self, n, monkeypatch):
+        # Paths are lattice walks that move one coordinate a step at a
+        # time, so ties and ordered pairs are common, as on a trajectory;
+        # a query is a path point moved one step.  Small blocks make each
+        # merge take several of them.
+        monkeypatch.setattr(sim, "_MERGE_CELLS", 8 * n)
+        rng = np.random.default_rng(40 + n)
+        d = 2 * n
+        paths = []
+        for _ in range(8):
+            steps = np.zeros((rng.integers(2, 30), d))
+            steps[np.arange(len(steps)), rng.integers(0, d, len(steps))] = (
+                rng.choice([-1, 1], len(steps)))
+            walk = rng.integers(0, 9, d) + np.cumsum(steps, axis=0)
+            paths.append(np.clip(walk, 0, 8) / 8)
+        floor = ceiling = np.empty((0, d))
+        for path in paths:
+            floor = sim._merge_lowest(floor, path)
+            ceiling = sim._merge_lowest(ceiling, -path)
+        points = np.concatenate(paths)
+        assert len(floor) < len(points) and len(ceiling) < len(points)
+        for kept in (floor, -ceiling):
+            le = sim._order_leq_rows(kept[:, None, :], kept)
+            assert not (le & ~np.eye(len(kept), dtype=bool)).any()
+        queries = points[rng.integers(0, len(points), 3000)]
+        queries[np.arange(3000), rng.integers(0, d, 3000)] += (
+            rng.choice([-1, 1], 3000) / 8)
+        lows = sim._below_some(queries, points)
+        highs = sim._below_some(-queries, -points)
+        np.testing.assert_array_equal(sim._below_some(queries, floor), lows)
+        np.testing.assert_array_equal(sim._below_some(-queries, ceiling),
+                                      highs)
+        assert (lows & highs).any() and not (lows & highs).all()
 
 
 class TestFirstSameAsLast:
