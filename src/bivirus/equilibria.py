@@ -24,6 +24,11 @@ Every analysis of a system accepts the system or its `Analysis`: the
 validated system with its recovery-normalized rates, (R1, R2) and both
 endemic profiles.  Build that context once with `analysis` and hand it to
 several analyses, so they share the spectral work instead of repeating it.
+
+The flow preserves an order (x1 up, x2 down), and `order_bounds` lists
+points beside the unstable equilibria whose orbits are monotone in it, so
+each converges to the nearest equilibrium above or below it in that
+order.
 """
 
 from __future__ import annotations
@@ -59,6 +64,11 @@ NEWTON_BATCH_BYTES = 512 * 1024
 #: d_i x_i.  F_i sums two positive terms that balance at the profile, each
 #: about d_i x_i, so its rounding error is a few ulps of d_i x_i.
 ENDEMIC_FLOOR_ULPS = 4
+#: Step from an unstable equilibrium along its Perron vector to the order
+#: bounds beside it (`order_bounds`): the field's linear term there
+#: outweighs its quadratic one and stays far above rounding (about 1e-8
+#: against 1e-16 on the bundled cases).
+ORDER_BOUND_EPS = 1e-6
 
 KIND_HEALTHY = "healthy"
 KIND_BOUNDARY_1 = "boundary_virus1"
@@ -143,10 +153,15 @@ class EnumerationResult:
     is classified on the singular boundary: a line of equilibria, or just
     a critical boundary equilibrium (rho_cross within the classification
     band of 1), which reads True without any line (see
-    `enumerate_equilibria`)."""
+    `enumerate_equilibria`).  `complete` is True only when the list
+    provably holds every equilibrium of the system: no coexistence is
+    possible (a virus is subcritical) or the n = 2 analytic route accounted
+    for every real root of its quadratic, and no equilibrium is on the
+    singular boundary.  The Newton route never reads True."""
 
     equilibria: list[Equilibrium]
     line_degeneracy_suspected: bool = False
+    complete: bool = False
 
     def __iter__(self):
         return iter(self.equilibria)
@@ -352,7 +367,19 @@ def solve_coexistence_n2(sys: BivirusSystem | Analysis):
     completed through two susceptible fractions s1, s2 and a 2x2 linear
     solve, and kept only if strictly interior.
     """
-    a = analysis(sys)
+    return _coexistence_n2(analysis(sys))[0]
+
+
+def _coexistence_n2(a):
+    """(equilibria, complete) for `solve_coexistence_n2` on the Analysis a.
+
+    complete says that the list holds every coexistence equilibrium: the
+    quadratic neither vanishes, nor loses its leading coefficient, nor has
+    a double root, and every real root it drops lies outside the feasible
+    set: a negative ratio alpha or gamma (beyond 1e-12), or a state more
+    than INTERIOR_FLOOR outside.  A root dropped for any other reason (a
+    state within INTERIOR_FLOOR of the boundary, say, or a failed residual
+    check) and a root merged by dedup leave it False."""
     if a.system.n != 2:
         raise DomainError("analytic coexistence solver requires n = 2")
     ns = a.ns
@@ -367,18 +394,21 @@ def solve_coexistence_n2(sys: BivirusSystem | Analysis):
     qc = b1[1, 0] * (b1[0, 0] - b2[0, 0])
 
     degenerate_root = False
+    complete = True
     if abs(qa) <= 1e-12 * scale**2:
         if abs(qb) <= 1e-12 * scale**2:
             log.debug("coexistence quadratic vanished identically")
-            return []
+            return [], False
         roots = [-qc / qb]
+        complete = False
     else:
         disc = qb * qb - 4.0 * qa * qc
         if disc < -1e-12 * scale**4:
-            return []
+            return [], True
         if abs(disc) <= 1e-12 * scale**4:
             roots = [-qb / (2.0 * qa)]
             degenerate_root = True
+            complete = False
         else:
             sq = np.sqrt(disc)
             roots = [(-qb + sq) / (2.0 * qa), (-qb - sq) / (2.0 * qa)]
@@ -387,6 +417,7 @@ def solve_coexistence_n2(sys: BivirusSystem | Analysis):
     for alpha in roots:
         if not np.isfinite(alpha) or alpha <= 1e-12:
             log.debug("root rejected: alpha = %r out of range", alpha)
+            complete &= bool(alpha < -1e-12)
             continue
         if abs(b2[0, 1]) > 1e-12 * scale:
             gamma = (b1[0, 0] + b1[0, 1] * alpha - b2[0, 0]) / b2[0, 1]
@@ -394,10 +425,12 @@ def solve_coexistence_n2(sys: BivirusSystem | Analysis):
             denom = b1[1, 0] / alpha + b1[1, 1] - b2[1, 1]
             if abs(denom) <= 1e-12 * scale:
                 log.debug("root rejected: gamma unrecoverable at alpha=%g", alpha)
+                complete = False
                 continue
             gamma = b2[1, 0] / denom
         if not np.isfinite(gamma) or gamma <= 1e-12:
             log.debug("root rejected: gamma = %r out of range", gamma)
+            complete &= bool(gamma < -1e-12)
             continue
 
         s1 = 1.0 / (b1[0, 0] + b1[0, 1] * alpha)
@@ -406,6 +439,7 @@ def solve_coexistence_n2(sys: BivirusSystem | Analysis):
         if abs(det) <= 1e-10 * (1.0 + abs(alpha) + abs(gamma)):
             log.debug("root rejected: ratio directions coincide "
                       "(alpha = gamma = %g); line of equilibria suspected", alpha)
+            complete = False
             continue
         x1_1 = (gamma * (1.0 - s1) - (1.0 - s2)) / det
         x2_1 = ((1.0 - s2) - alpha * (1.0 - s1)) / det
@@ -413,15 +447,18 @@ def solve_coexistence_n2(sys: BivirusSystem | Analysis):
         x2 = np.array([x2_1, gamma * x2_1])
         s = State(x1, x2)
         if not model.is_strictly_interior(s, INTERIOR_FLOOR):
+            complete &= not model.in_feasible_set(s, INTERIOR_FLOOR)
             continue
         if model.residual(ns, s) > 1e-8 * max(1.0, scale):
             log.debug("root rejected: residual check failed")
+            complete = False
             continue
         found.append(s)
 
-    return [_make_equilibrium(a.system, s, KIND_COEXISTENCE,
-                              degenerate=degenerate_root)
-            for s in _dedup(found)]
+    kept = _dedup(found)
+    return ([_make_equilibrium(a.system, s, KIND_COEXISTENCE,
+                               degenerate=degenerate_root) for s in kept],
+            complete and len(kept) == len(found))
 
 
 # ---------------------------------------------------------------------------
@@ -698,6 +735,14 @@ def enumerate_equilibria(sys: BivirusSystem | Analysis,
     transcritical switch, where rho_cross of a boundary equilibrium passes
     1 (case2 with B2 scaled to c* +- 1e-10, say), the flag reads True on
     a system that has no line.
+
+    `complete` is True when the list provably holds every equilibrium:
+    no equilibrium is on the singular boundary, and either a virus is
+    subcritical (no equilibrium then carries it, so there is no
+    coexistence to search for) or n = 2 and the analytic route accounted
+    for every real root of its quadratic (`_coexistence_n2`).  A root that
+    route drops for lying within INTERIOR_FLOOR of the boundary leaves it
+    False, and so does the Newton route, which may miss roots.
     """
     a = analysis(sys)
     sys, (x1bar, x2bar) = a.system, a.bars
@@ -710,16 +755,65 @@ def enumerate_equilibria(sys: BivirusSystem | Analysis,
     if x2bar is not None:
         items.append(_make_equilibrium(sys, State(np.zeros(n), x2bar),
                                        KIND_BOUNDARY_2))
+    complete = True
     if x1bar is not None and x2bar is not None:
         if n == 2:
-            items.extend(solve_coexistence_n2(a))
+            coexistence, complete = _coexistence_n2(a)
+            items.extend(coexistence)
         else:
             items.extend(find_coexistence_newton(a, seeds=newton_seeds))
+            complete = False
 
     degenerate = any(e.spectrum_class == "singular_boundary" or e.degenerate
                      for e in items)
     return EnumerationResult(equilibria=items,
-                             line_degeneracy_suspected=degenerate)
+                             line_degeneracy_suspected=degenerate,
+                             complete=complete and not degenerate)
+
+
+def order_bounds(sys: BivirusSystem, eqs, f):
+    """Points of the feasible set whose orbits are monotone in the order,
+    as (w, side) pairs: the orbit of w rises (side +1) or falls (side -1)
+    and converges to the <=K-least equilibrium above w (the greatest below
+    it).  f is the field of sys (`model.field`).
+
+    Beside each unstable equilibrium c of `eqs` whose transformed Jacobian
+    M = P J(c) P, P = diag(I, -I), has a strictly positive Perron vector
+    p: w = c + side ORDER_BOUND_EPS P p, kept when it is feasible and its
+    field lies strictly inside the cone (side +1) or its negative (side
+    -1).  Such an orbit is monotone (Smith, Monotone Dynamical Systems,
+    AMS 1995, Prop. 3.2.1; Hirsch, J. reine angew. Math. 383, 1988), so it
+    converges to an equilibrium, which the flow's order keeps below every
+    equilibrium above w.  Then the corners: the field at (1, 0) is exactly
+    (-d1, 0), in the closed negative cone, so (1, 0) falls, and the field
+    at (0, 1) is exactly (0, -d2), in the closed cone, so (0, 1) rises."""
+    n = sys.n
+    cone = np.repeat([1.0, -1.0], n)    # the diagonal of P
+    bounds = []
+    for e in eqs:
+        if e.spectrum_class != "unstable":
+            continue
+        # One step of inverse iteration from 1 at a shift mu just right of
+        # M's rightmost eigenvalue: (mu I - M)^-1 >= 0 maps 1 along the
+        # Perron vector.  (np.linalg.eig's first call would raise a
+        # process's peak RSS by about 0.13 MB.)
+        M = model.transformed_jacobian(sys, e.state)
+        mu = speclin.spectral_abscissa(M) + 1e-8 * np.abs(M).max()
+        try:
+            p = np.linalg.solve(mu * np.eye(2 * n) - M, np.ones(2 * n))
+        except np.linalg.LinAlgError:
+            continue
+        if not (p > 0.0).all():
+            continue
+        p /= p.sum()
+        for side in (1.0, -1.0):
+            w = e.coordinates() + side * ORDER_BOUND_EPS * cone * p
+            if (model.in_feasible_set(State.from_vector(w), 0.0)
+                    and (side * cone * f(w) > 0.0).all()):
+                bounds.append((w, side))
+    ones, zero = np.ones(n), np.zeros(n)
+    return bounds + [(np.concatenate([ones, zero]), -1.0),
+                     (np.concatenate([zero, ones]), 1.0)]
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ With `stop_tol=None` a run goes on to t_end and the same rule, at
 
 A batch run also retires early at a record mark once its limit is
 certified; it then reports that equilibrium as its limit, bitwise.  The
-certificate (`_AttractionBalls`) has two parts.  The first is a ball of
+certificate (`_AttractionBalls`) has three parts.  The first is a ball of
 attraction around an equilibrium e (`_attraction_ball`, from the
 logarithmic norm of the Metzler transformed Jacobian): a run within half
 its radius converges to e.  The second is the order: when a run retires
@@ -38,9 +38,19 @@ their flows for all time (Kamke; Hirsch, J. reine angew. Math. 383,
 1988; Smith, Monotone Dynamical Systems, AMS 1995) and so converges to
 e as well.  Both parts rest on the same evidence, a numerical run that
 entered a half ball, so path retirement is exactly as rigorous as ball
-retirement.  `basin_probe` builds its balls around the equilibria it is
-given, and `sandwich_test` around the healthy state and the boundary
-equilibria of the system's `equilibria.Analysis`.  The two corners start
+retirement.  The third part orders the equilibria themselves and needs
+a list known to hold every one of them (`EnumerationResult.complete`).
+Beside an unstable equilibrium c, the point w+ = c + eps P p along the
+Perron vector p of the transformed Jacobian, P = diag(I, -I), has its
+field inside the cone, so its orbit rises monotonically to the
+<=K-least equilibrium above it (Smith, Prop. 3.2.1; Hirsch 1988), and
+w- falls to the greatest one below.  Such order bounds
+(`equilibria.order_bounds`) bracket states the way path points do.
+`basin_probe` builds its balls around the equilibria it is given, and
+adds the order bounds when they come as a complete
+`EnumerationResult`; `sandwich_test` builds its balls around the
+healthy state and the boundary equilibria of the system's
+`equilibria.Analysis`.  The two corners start
 at the extremes of the order, where no path brackets them; on the
 bundled cases neither is bracketed later either, so the sandwich runs as
 it would with the balls alone.  A corner bound for a stable coexistence
@@ -59,7 +69,7 @@ import numpy as np
 
 from . import equilibria, model, speclin
 from .exceptions import DomainError, IntegrationError
-from .equilibria import Analysis, Equilibrium
+from .equilibria import Analysis, EnumerationResult, Equilibrium
 from .model import BivirusSystem, State
 
 log = logging.getLogger(__name__)
@@ -528,7 +538,7 @@ class ProbeResult:
     """Basin labels over a grid of starts.  `final_states` holds each
     start's last integrated state, or the equilibrium itself, bitwise, for
     a start retired to it: inside its certified ball of attraction, or
-    between two certified paths bound for it (`_AttractionBalls`); NaN
+    between two certified points bound for it (`_AttractionBalls`); NaN
     where the start is invalid."""
 
     labels: np.ndarray        # (n_a, n_b) ints: index into `legend`, or negative
@@ -574,10 +584,11 @@ def _attraction_ball(sys, centre, stop_tol):
     that norm, with c = max_i (v1_i + v2_i) max((B1 v1)_i / v1_i,
     (B2 v2)_i / v2_i).  So ||y - e||_v shrinks along the exact flow from
     every y with ||y - e||_v < -mu / c, the radius, and y converges to e.
-    Only centres whose residual on sys is at most stop_tol get a ball.
+    Only centres whose residual on sys is at most stop_tol get a ball;
+    with stop_tol None the caller has made that check.
     """
     s = _state_of(centre)
-    if model.residual(sys, s) > stop_tol:
+    if stop_tol is not None and model.residual(sys, s) > stop_tol:
         return None
     n = sys.n
     M = model.transformed_jacobian(sys, s)
@@ -625,30 +636,37 @@ def _merge_lowest(lowest, points):
 class _AttractionBalls:
     """The retirement certificate of a batch: the certified balls of
     attraction (`_attraction_ball`) around those of `centres` (States or
-    Equilibria) that get one, and the certified paths bound for each; ball
-    k surrounds centres[owners[k]].
+    Equilibria) that get one, and the certified points bound for each;
+    ball k surrounds centres[owners[k]].
 
     A state within half a ball's radius of its centre is certified to
     converge to that centre; the other half of the radius absorbs the
     integrator's error.  A run that retires to ball k hands its recorded
-    path to `certify`, and every point on it flows to that centre.  A state
-    y with z_lo <=K y <=K z_hi for two such points of one ball stays
-    between their flows (Kamke's order preservation), so it converges to
-    that centre as well.  Each ball keeps only the <=K-minimal points of
-    its paths (`floors`) and, negated, the <=K-maximal ones (`ceilings`):
-    they bracket exactly the states the whole paths do."""
+    path to `certify`, and every point on it flows to that centre;
+    `bound_orders` files the order bounds of a complete list as well.  A
+    state y with z_lo <=K y <=K z_hi for two certified points of one ball
+    stays between their flows (Kamke's order preservation), so it
+    converges to that centre as well.  Each ball keeps only the
+    <=K-minimal certified points (`floors`) and, negated, the <=K-maximal
+    ones (`ceilings`): they bracket exactly the states that all of them
+    do.  One field closure serves every residual and sign check the
+    certificate makes."""
 
     def __init__(self, sys, centres, stop_tol):
-        self.owners, rows, inv_v, radii = [], [], [], []
+        d = 2 * sys.n
+        self._f = model.field(sys)
+        vectors = np.array([_state_of(e).as_vector()
+                            for e in centres]).reshape(-1, d)
+        #: whether each centre's residual on sys is at most stop_tol
+        self.fresh = np.abs(self._f(vectors)).max(axis=1) <= stop_tol
+        self.owners, inv_v, radii = [], [], []
         for i, e in enumerate(centres):
-            ball = _attraction_ball(sys, e, stop_tol)
+            ball = _attraction_ball(sys, e, None) if self.fresh[i] else None
             if ball is not None:
                 self.owners.append(i)
-                rows.append(_state_of(e).as_vector())
                 inv_v.append(1.0 / ball[0])
                 radii.append(ball[1])
-        d = 2 * sys.n
-        self.centres = np.array(rows).reshape(-1, d)
+        self.centres = vectors[self.owners]
         self.inv_v = np.array(inv_v).reshape(-1, d)
         self.radii = np.array(radii)
         self.floors = [np.empty((0, d)) for _ in radii]
@@ -669,7 +687,7 @@ class _AttractionBalls:
             return np.full(len(y), -1)
         inside = self.in_half_ball(y)
         for k, (floor, ceiling) in enumerate(zip(self.floors, self.ceilings)):
-            if len(floor):
+            if len(floor) and len(ceiling):
                 inside[:, k] |= (_below_some(y, floor)
                                  & _below_some(-y, ceiling))
         return np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
@@ -683,6 +701,33 @@ class _AttractionBalls:
             self.floors[k] = _merge_lowest(self.floors[k], points)
             # negation reverses the order: max(P) = -min(-P)
             self.ceilings[k] = _merge_lowest(self.ceilings[k], -points)
+
+    def bound_orders(self, sys, eqs):
+        """File the order bounds of `eqs` (`equilibria.order_bounds`), a
+        list of every equilibrium of sys and the centres this certificate
+        was built on, and return how many it filed.  The orbit of a bound
+        w is monotone, so it converges to the <=K-least equilibrium above w
+        (the greatest below, for one that falls), which the complete list
+        names; w joins the floors (ceilings) of that equilibrium's ball, if
+        it has one.  A list with an entry whose residual on sys exceeds the
+        balls' stop_tol files nothing."""
+        if not self.fresh.all():
+            return 0
+        ball = {i: k for k, i in enumerate(self.owners)}
+        targets = np.array([e.coordinates() for e in eqs])
+        filed = 0
+        for w, side in equilibria.order_bounds(sys, eqs, self._f):
+            # negation reverses the order, so for a falling w (side -1)
+            # this finds the greatest equilibrium below
+            up = side * targets
+            near = np.flatnonzero(_order_leq_rows(side * w, up))
+            least = [i for i in near if _order_leq_rows(up[i], up[near]).all()]
+            if len(least) == 1 and least[0] in ball:
+                k = ball[least[0]]
+                kept = self.floors if side > 0 else self.ceilings   # negated
+                kept[k] = _merge_lowest(kept[k], side * w[None])
+                filed += 1
+        return filed
 
 
 def basin_probe(sys: BivirusSystem | Analysis, equilibria,
@@ -707,9 +752,19 @@ def basin_probe(sys: BivirusSystem | Analysis, equilibria,
     preserves the order (Kamke), so its run stays between two runs that
     converge to that equilibrium and converges there as well.  This rests
     on the same numerical evidence as the ball itself, a recorded run that
-    entered a half ball, so it is exactly as rigorous.  The `basin probe:`
-    DEBUG line counts the two kinds of retirement apart and gives the time
-    of the last one.
+    entered a half ball, so it is exactly as rigorous.
+
+    When `equilibria` is a `complete` `EnumerationResult`, order bounds
+    join those points before the batch starts: beside an unstable
+    equilibrium, a point along the Perron vector of its transformed
+    Jacobian whose field lies strictly inside the cone rises monotonically
+    to the <=K-least equilibrium above it, or falls to the greatest below
+    (Smith, Monotone Dynamical Systems, AMS 1995, Prop. 3.2.1; Hirsch, J.
+    reine angew. Math. 383, 1988); see `equilibria.order_bounds`.
+    A bare list, or a result that is not complete, gets none.  The `basin
+    probe:` DEBUG line counts the two kinds of retirement apart (order
+    bounds bracket like path points), the order bounds filed and the time
+    of the last retirement.
     """
     sys = _validated(sys)
     grid = grid or GridSpec()
@@ -729,6 +784,9 @@ def basin_probe(sys: BivirusSystem | Analysis, equilibria,
                 cells.append((i, j))
                 starts.append(s0)
     balls = _AttractionBalls(sys, eq_list, DEFAULT_STOP_TOL)
+    bounds = 0
+    if isinstance(equilibria, EnumerationResult) and equilibria.complete:
+        bounds = balls.bound_orders(sys, eq_list)
     by_ball = by_path = by_rule = 0
     last = "none"
     if starts:
@@ -751,11 +809,11 @@ def basin_probe(sys: BivirusSystem | Analysis, equilibria,
         if ages:
             last = f"{max(ages):g}"
     log.debug("basin probe: %d starts retired in a ball, %d between two "
-              "certified paths, %d stopped by the stop rule, %d unresolved; "
-              "last retirement at t = %s; %d balls, radii %.3g to %.3g in "
-              "their weighted norms",
+              "certified paths, %d stopped by the stop rule, %d unresolved, "
+              "%d order bounds; last retirement at t = %s; %d balls, radii "
+              "%.3g to %.3g in their weighted norms",
               by_ball, by_path, by_rule,
-              int(np.count_nonzero(labels == LABEL_UNRESOLVED)), last,
+              int(np.count_nonzero(labels == LABEL_UNRESOLVED)), bounds, last,
               len(balls.radii), balls.radii.min(initial=np.inf),
               balls.radii.max(initial=0.0))
     return ProbeResult(labels=labels, final_states=finals,

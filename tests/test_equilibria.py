@@ -617,3 +617,51 @@ def test_enumeration_same_from_system_or_analysis():
         assert equilibria.analysis(a) is a
         assert _enumeration_doc(bv.enumerate_equilibria(a)) == \
             _enumeration_doc(bv.enumerate_equilibria(sys))
+
+
+#: B2 scale at which rho_cross of case2's (0, x2_bar) crosses 1.
+C_STAR = 0.9498439582505509
+
+
+def _scaled_case2(c):
+    return BivirusSystem(cases.B1_SHARED, EYE, c * CASES["case2"].B2, EYE)
+
+
+class TestEnumerationComplete:
+    @pytest.mark.parametrize("name", ["case2", "case3", "case4"])
+    def test_bundled_cases_are_complete(self, name):
+        assert bv.enumerate_equilibria(CASES[name].system()).complete
+
+    def test_line_is_not_complete(self):
+        assert not bv.enumerate_equilibria(CASES["case1"].system()).complete
+
+    def test_newton_route_is_not_complete(self):
+        enum = bv.enumerate_equilibria(_lifted_case2())
+        assert enum.of_kind("coexistence")
+        assert not enum.complete
+
+    @pytest.mark.parametrize("dc", [-1e-8, 1e-8])
+    def test_root_at_the_interior_floor_is_not_complete(self, dc):
+        # Next to the switch the coexistence root lies about 5e-9 from the
+        # boundary, inside the floor on one side and outside the feasible
+        # set on the other; either way the analytic route drops it without
+        # knowing that it is no equilibrium, and no class is critical.
+        enum = bv.enumerate_equilibria(_scaled_case2(C_STAR + dc))
+        assert not enum.of_kind("coexistence")
+        assert not enum.line_degeneracy_suspected
+        assert not enum.complete
+
+    @pytest.mark.parametrize("dc,found", [(-1e-6, 0), (1e-6, 1)])
+    def test_root_clear_of_the_floor_is_complete(self, dc, found):
+        enum = bv.enumerate_equilibria(_scaled_case2(C_STAR + dc))
+        assert len(enum.of_kind("coexistence")) == found
+        assert enum.complete
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_subcritical_virus_is_complete(self, n):
+        # No equilibrium carries a subcritical virus, so no search runs.
+        B = np.full((n, n), 2.0 / n)         # R1 = 2, R2 = 0.8
+        sys = BivirusSystem(B, np.eye(n), 0.4 * B, np.eye(n))
+        enum = bv.enumerate_equilibria(sys)
+        assert [e.kind for e in enum] == ["healthy", "boundary_virus1"]
+        assert enum.complete

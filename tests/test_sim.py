@@ -15,6 +15,7 @@ from conftest import random_interior_state, random_ordered_pair
 
 B1 = np.array([[1.6, 1.0], [1.0, 1.6]])
 EYE = np.eye(2)
+EPS = np.finfo(float).eps
 
 
 class TestIntegrate:
@@ -713,6 +714,121 @@ class TestPathRetirement:
         np.testing.assert_array_equal(sim._below_some(-queries, ceiling),
                                       highs)
         assert (lows & highs).any() and not (lows & highs).all()
+
+
+def _order_bounds(name):
+    """(system, equilibria, certificate holding only the order bounds) for
+    a bundled case."""
+    sys = CASES[name].system()
+    eqs = bv.enumerate_equilibria(sys).equilibria
+    balls = sim._AttractionBalls(sys, eqs, sim.DEFAULT_STOP_TOL)
+    balls.bound_orders(sys, eqs)
+    return sys, eqs, balls
+
+
+class TestOrderBounds:
+    #: points w+- filed beside the unstable equilibria, and all points
+    #: filed, the corners (1, 0) and (0, 1) included
+    FILED = {"case2": (2, 4), "case3": (2, 2), "case4": (1, 2)}
+
+    @pytest.mark.parametrize("name", ["case2", "case3", "case4"])
+    def test_probe_of_a_complete_list(self, name, lone_labels, caplog):
+        # Handed the EnumerationResult, the probe files order bounds and
+        # retires every start by t = 10 (165 / 210 / 25 on the bare list),
+        # with the lone-run labels and the bare list's final states.
+        eqs, lone = lone_labels[name]
+        sys = CASES[name].system()
+        enum = bv.enumerate_equilibria(sys)
+        grid = sim.GridSpec(n_a=10, n_b=10)
+        with caplog.at_level(logging.DEBUG, logger="bivirus.sim"):
+            probe = bv.basin_probe(sys, enum, grid)
+        np.testing.assert_array_equal(probe.labels, lone)
+        by_ball, by_path, last = _probe_line(caplog)
+        assert by_ball + by_path == 55 and last <= 10.0
+        (line,) = [r.getMessage() for r in caplog.records]
+        filed = int(re.search(r"0 unresolved, (\d+) order bounds;",
+                              line).group(1))
+        assert filed == self.FILED[name][1]
+        bare = bv.basin_probe(sys, enum.equilibria, grid)
+        assert np.array_equal(probe.final_states, bare.final_states,
+                              equal_nan=True)
+
+    @pytest.mark.parametrize("name", ["case2", "case3", "case4"])
+    def test_bounds_flow_monotonically_to_their_ball(self, name):
+        # Oracle: each w+- has its field strictly inside the cone (or its
+        # negative), and a lone run from every filed point rises (floors)
+        # or falls (ceilings) in the order at every record, up to a few
+        # ulps once it sits at its limit, and ends at the centre of the
+        # ball it was filed under.
+        sys, eqs, balls = _order_bounds(name)
+        f = model.field(sys)
+        cone = np.repeat([1.0, -1.0], sys.n)
+        beside = filed = 0
+        for k, i in enumerate(balls.owners):
+            target = eqs[i].coordinates()
+            for side, points in ((1.0, balls.floors[k]),
+                                 (-1.0, -balls.ceilings[k])):
+                for w in points:
+                    if not np.isin(w, (0.0, 1.0)).all():   # not a corner
+                        assert (side * cone * f(w) > 0.0).all()
+                        beside += 1
+                    traj = bv.integrate(sys, State.from_vector(w))
+                    lo, hi = traj.states[:-1], traj.states[1:]
+                    if side < 0:
+                        lo, hi = hi, lo
+                    assert sim._order_leq_rows(lo, hi, 4 * EPS).all()
+                    assert traj.outcome.kind == "converged"
+                    assert np.max(np.abs(traj.final_vector - target)) <= 1e-7
+                    filed += 1
+        assert (beside, filed) == self.FILED[name]
+
+    def test_misfiled_bound_breaks_the_labels(self, lone_labels, monkeypatch):
+        # case2's two boundary balls trade their order bounds, so starts
+        # above the saddle retire to the virus-2 point and starts below it
+        # to the virus-1 point.
+        eqs, lone = lone_labels["case2"]
+        bound_orders = sim._AttractionBalls.bound_orders
+
+        def misfiled(self, sys_, eqs_):
+            filed = bound_orders(self, sys_, eqs_)
+            assert len(self.owners) == 2
+            self.floors.reverse()
+            self.ceilings.reverse()
+            return filed
+
+        monkeypatch.setattr(sim._AttractionBalls, "bound_orders", misfiled)
+        sys = CASES["case2"].system()
+        probe = bv.basin_probe(sys, bv.enumerate_equilibria(sys),
+                               sim.GridSpec(n_a=10, n_b=10))
+        assert (probe.labels != lone).sum() > 0
+
+    def test_incomplete_list_files_no_bounds(self, caplog):
+        sys = CASES["case1"].system()
+        enum = bv.enumerate_equilibria(sys)
+        assert not enum.complete
+        with caplog.at_level(logging.DEBUG, logger="bivirus.sim"):
+            bv.basin_probe(sys, enum, sim.GridSpec(n_a=4, n_b=4))
+        (line,) = [r.getMessage() for r in caplog.records]
+        assert " 0 order bounds;" in line
+
+    def test_one_field_closure_serves_the_certificate(self, monkeypatch):
+        # The certificate's residual and sign checks share one closure,
+        # and the stepper builds the other; model.residual is not called.
+        sys = CASES["case2"].system()
+        enum = bv.enumerate_equilibria(sys)
+        field, built = model.field, []
+
+        def counted(sys_):
+            built.append(sys_)
+            return field(sys_)
+
+        def refused(*args):
+            raise AssertionError("model.residual called")
+
+        monkeypatch.setattr(model, "field", counted)
+        monkeypatch.setattr(model, "residual", refused)
+        bv.basin_probe(sys, enum, sim.GridSpec(n_a=4, n_b=4))
+        assert len(built) == 2
 
 
 class TestFirstSameAsLast:
