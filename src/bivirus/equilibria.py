@@ -646,13 +646,28 @@ def _newton_root(f, jac, v0, tol, known=None):
     return V, rnorm_out, in_ball
 
 
+def _polish(f, jac, v):
+    """The roots v (one per row), each moved by one full Newton step where
+    that lowers its residual norm.  A root accepted at NEWTON_TOL is fixed
+    only to about ||J^-1|| NEWTON_TOL, so without the step the seed that
+    reached it first would decide its trailing digits."""
+    if not len(v):
+        return v
+    r = f(v)
+    trial = v + _newton_steps(jac(v), r)
+    better = np.abs(f(trial)).max(axis=-1) < np.abs(r).max(axis=-1)
+    return np.where(better[:, None], trial, v)
+
+
 def find_coexistence_newton(sys: BivirusSystem | Analysis, seeds=None):
     """Coexistence equilibria by damped Newton from a family of seeds.
 
     The seeds run through `_newton_root` in lockstep batches, as many per
     batch as keep its Jacobian stack within NEWTON_BATCH_BYTES (every
     default seed up to n = 14, 10 seeds at n = 40, one at n = 100).  A seed
-    converges when its residual falls to NEWTON_TOL.  Converged roots are
+    converges when its residual falls to NEWTON_TOL, and its root then
+    takes one more full Newton step if that lowers the residual
+    (`_polish`).  Converged roots are
     kept only when strictly interior (every entry positive and every
     nodewise sum below one, so the all-or-nothing zero-pattern of genuine
     equilibria is respected), deduplicated at 1e-6 in the infinity norm
@@ -699,7 +714,7 @@ def find_coexistence_newton(sys: BivirusSystem | Analysis, seeds=None):
         root = ~in_ball & (rnorm <= NEWTON_TOL)
         converged += int(root.sum())
         retired += int(in_ball.sum())
-        roots += [s for s in map(State.from_vector, v[root])
+        roots += [s for s in map(State.from_vector, _polish(f, jac, v[root]))
                   if model.is_strictly_interior(s, INTERIOR_FLOOR)]
     log.debug("newton search: %d seeds converged, %d retired, %d failed "
               "in %d lockstep batches, %d Jacobian rows; ball radii %.3g "

@@ -26,8 +26,9 @@ every rate (time) leaves the verdict unchanged.  A run the rule stops is
 With `stop_tol=None` a run goes on to t_end and the same rule, at
 `DEFAULT_STOP_TOL`, judges its final record alone.
 
-A batch run also retires early at a record mark once its limit is
-certified; it then reports that equilibrium as its limit, bitwise.  The
+A batch run also retires early, before its first step or at a record
+mark, once its limit is certified; it then reports that equilibrium as
+its limit, bitwise.  The
 certificate (`_AttractionBalls`) has three parts.  The first is a ball of
 attraction around an equilibrium e (`_attraction_ball`, from the
 logarithmic norm of the Metzler transformed Jacobian): a run within half
@@ -46,16 +47,17 @@ field inside the cone, so its orbit rises monotonically to the
 <=K-least equilibrium above it (Smith, Prop. 3.2.1; Hirsch 1988), and
 w- falls to the greatest one below.  Such order bounds
 (`equilibria.order_bounds`) bracket states the way path points do.
-`basin_probe` builds its balls around the equilibria it is given, and
-adds the order bounds when they come as a complete
-`EnumerationResult`; `sandwich_test` builds its balls around the
-healthy state and the boundary equilibria of the system's
-`equilibria.Analysis`.  The two corners start
-at the extremes of the order, where no path brackets them; on the
-bundled cases neither is bracketed later either, so the sandwich runs as
-it would with the balls alone.  A corner bound for a stable coexistence
-point finds no ball there and runs to the stop rule.  `integrate`
-returns whole trajectories, so it never retires.
+One constructor builds the certificate from a list of equilibria and
+adds the order bounds when the list is a complete `EnumerationResult`.
+`basin_probe` hands it the equilibria it is given.  `sandwich_test`
+hands it `equilibria.enumerate_equilibria` when that needs no Newton
+search (n = 2, or a virus is subcritical), and otherwise the healthy
+state and the boundary equilibria of the system's `equilibria.Analysis`.
+A batch locates every start once before its first step, and a start
+held there retires at t = 0 with a one-record trajectory: on case2 the
+corners (1, 0) and (0, 1) and the bounds beside the saddle bracket both
+sandwich corners, so neither takes a step.  `integrate` returns whole
+trajectories, so it never retires.
 """
 
 from __future__ import annotations
@@ -296,27 +298,51 @@ def _integrate_starts(sys, starts, t_end, *, record_interval=1.0,
     per start.  A row that the stop rule or `certificate` (see
     `_stop_rule`) stops is converged; any other row is budget_exhausted.
 
+    `certificate` locates every start once before the first step.  A
+    start it holds there is certified at once: it comes back as a
+    converged trajectory of one record, t = 0, and only the other starts
+    go to the stepper, which does not run at all when none are left.
+
     The drift window is 10% of t_end, capped at 20 time units but never
     shorter than two record steps.  With stop_tol None the rule judges
-    only the final record, at DEFAULT_STOP_TOL."""
+    only the final record, at DEFAULT_STOP_TOL, and nothing retires
+    before it."""
     starts = [State(np.asarray(s.x1, float), np.asarray(s.x2, float))
               for s in starts]
     for s in starts:
         model.require_in_feasible_set(s)
+    if t_end <= 0.0:
+        raise DomainError("t_end must exceed t0")
     f = model.field(sys)
     window = max(min(20.0, 0.1 * t_end), 2.0 * min(record_interval, t_end))
     start = 0.0
     if stop_tol is None:   # judge the stepper's last record only
         stop_tol, start = DEFAULT_STOP_TOL, t_end - 1e-12 * max(1.0, t_end)
+    y0 = np.array([s.as_vector() for s in starts])
+    held = np.full(len(y0), -1)
+    if certificate is not None and not start:
+        held = certificate.locate(y0)
+        certificate.certify(held[held >= 0], y0[None, held >= 0])
+    trajs = [Trajectory(np.zeros(1), y[None], Outcome("converged"))
+             for y in y0]
+    live = np.flatnonzero(held < 0)
+    if not live.size:
+        return trajs
     stop_check = _stop_rule(stop_tol, _rate_scale(sys), window, certificate,
                             start)
-    runs = _integrate_flat(
-        f, np.array([s.as_vector() for s in starts]), 0.0, t_end, RTOL, ATOL,
-        record_interval, guard=_containment_guard(sys.n),
-        stop_check=stop_check)
-    return [Trajectory(times, states,
-                       Outcome("converged" if stopped else "budget_exhausted"))
-            for times, states, stopped in runs]
+    try:
+        runs = _integrate_flat(f, y0[live], 0.0, t_end, RTOL, ATOL,
+                               record_interval,
+                               guard=_containment_guard(sys.n),
+                               stop_check=stop_check)
+    except IntegrationError as err:   # name the start in `starts`
+        r = int(live[err.start])
+        raise IntegrationError(f"start {r}: {str(err).partition(': ')[2]}",
+                               t=err.t, state=err.state, start=r) from None
+    for i, (times, states, stopped) in zip(live, runs):
+        trajs[i] = Trajectory(times, states, Outcome(
+            "converged" if stopped else "budget_exhausted"))
+    return trajs
 
 
 def _validated(sys):
@@ -395,10 +421,11 @@ class SandwichResult:
     condition shares the common limit.  When they disagree, all interior
     limits lie in the closed hyperrectangle spanned by (limit_A, limit_B)
     (`hyperrectangle_contains`) and an unstable equilibrium sits strictly
-    inside it.  `retired` says which corners retired in a certified ball
-    of attraction: such a corner's limit is the ball's centre, an
-    equilibrium of the system's `equilibria.Analysis`, so two corners
-    retired in the same ball agree exactly and their common limit is
+    inside it.  `retired` says which corners retired on the certificate
+    (`_AttractionBalls`), in a ball of attraction or between two
+    certified points bound for its centre: such a corner's limit is that
+    centre, an equilibrium the certificate was built on, so two corners
+    retired to the same one agree exactly and their common limit is
     proved, not estimated.  `jittered` says which corners were retried.
     """
 
@@ -430,32 +457,40 @@ def sandwich_test(sys: BivirusSystem | Analysis,
     is a system, validated first (`equilibria.analysis`), or its
     `equilibria.Analysis`.
 
-    Both corners run as one lockstep batch of the `integrate` stepper.
-    Around the healthy state and each boundary equilibrium of the analysis
-    the transformed Jacobian may certify a ball of attraction
-    (`_attraction_ball`).  A corner found at a record mark within half a
-    ball's radius retires there, and its limit is that equilibrium's
-    coordinates.  Any other corner runs to its stop rule; one bound for a
-    stable coexistence point always does, since that point gets no ball
-    without the Newton enumeration.  A corner run that fails to converge is
-    retried once from the corner perturbed by a deterministic jitter of
-    magnitude eta/10 (alternating sign pattern, rotated by `seed`); the
-    retries form a second batch.  If a corner still fails, the result is
-    inconclusive and carries both partial trajectories.  A corner stopped
-    by the rule shares its step sizes with the rest of its batch, so its
-    limit may differ from a lone `integrate` run by about `RTOL`.
+    Both corners run as one lockstep batch of the `integrate` stepper,
+    retiring on the certificate of `_AttractionBalls`.  When the
+    enumeration needs no Newton search (n = 2, or a virus is
+    subcritical), the certificate is built on
+    `equilibria.enumerate_equilibria`, with its order bounds when that
+    list is complete; otherwise on the healthy state and the boundary
+    equilibria of the analysis, and `find_coexistence_newton` is never
+    run.  A corner held by the certificate, before the first step or at
+    a record mark, retires there, and its limit is that equilibrium's
+    coordinates.  Any other corner runs to its stop rule.  A corner run
+    that fails to converge is retried once from the corner perturbed by
+    a deterministic jitter of magnitude eta/10 (alternating sign
+    pattern, rotated by `seed`); the retries form a second batch.  If a
+    corner still fails, the result is inconclusive and carries both
+    partial trajectories.  A corner stopped by the rule shares its step
+    sizes with the rest of its batch, so its limit may differ from a lone
+    `integrate` run by about `RTOL`.  The `sandwich:` DEBUG line says how
+    each corner ended: in a ball, between two certified points bound for
+    an equilibrium, by the stop rule, or unconverged.
     """
     a = equilibria.analysis(sys)
     sys, n = a.system, a.system.n
     corners = _corner_states(n, eta)
-    zero = np.zeros(n)
-    x1bar, x2bar = a.bars
-    named = [(equilibria.KIND_HEALTHY, State.zero(n))]
-    if x1bar is not None:
-        named.append((equilibria.KIND_BOUNDARY_1, State(x1bar, zero)))
-    if x2bar is not None:
-        named.append((equilibria.KIND_BOUNDARY_2, State(zero, x2bar)))
-    balls = _AttractionBalls(sys, [s for _, s in named], stop_tol)
+    if n == 2 or any(bar is None for bar in a.bars):
+        centres = equilibria.enumerate_equilibria(a)
+        named = [(e.kind, e.state) for e in centres]
+    else:
+        zero = np.zeros(n)
+        x1bar, x2bar = a.bars
+        named = [(equilibria.KIND_HEALTHY, State.zero(n)),
+                 (equilibria.KIND_BOUNDARY_1, State(x1bar, zero)),
+                 (equilibria.KIND_BOUNDARY_2, State(zero, x2bar))]
+        centres = [s for _, s in named]
+    balls = _AttractionBalls(sys, centres, stop_tol)
     kw = dict(stop_tol=stop_tol, certificate=balls)
     trajs = _integrate_starts(sys, corners, t_end, **kw)
     failed = [i for i, tr in enumerate(trajs)
@@ -469,12 +504,16 @@ def sandwich_test(sys: BivirusSystem | Analysis,
         for i, retry in zip(failed, retries):
             if retry.outcome.kind == "converged":
                 trajs[i] = retry
-    held = balls.locate(np.array([tr.final_vector for tr in trajs]))
+    ends = np.array([tr.final_vector for tr in trajs])
+    held = balls.locate(ends)
+    in_ball = balls.in_half_ball(ends).any(axis=1)
     limits, notes = [], []
-    for tag, tr, k in zip("AB", trajs, held):
+    for tag, tr, k, ball in zip("AB", trajs, held, in_ball):
         if k >= 0:
-            limits.append(named[balls.owners[k]][1])
-            how = f"retired in the ball of {named[balls.owners[k]][0]}"
+            kind, limit = named[balls.owners[k]]
+            limits.append(limit)
+            how = (f"retired in the ball of {kind}" if ball else
+                   f"retired between two certified points bound for {kind}")
         elif tr.outcome.kind == "converged":
             limits.append(tr.final_state)
             how = "stopped by the stop rule"
@@ -483,8 +522,9 @@ def sandwich_test(sys: BivirusSystem | Analysis,
             how = "unconverged"
         notes.append(f"corner {tag} {how} at t = {tr.times[-1]:g}")
     log.debug("sandwich: %s; %d balls, radii %.3g to %.3g in their weighted "
-              "norms", ", ".join(notes), len(balls.radii),
-              balls.radii.min(initial=np.inf), balls.radii.max(initial=0.0))
+              "norms, %d order bounds", ", ".join(notes), len(balls.radii),
+              balls.radii.min(initial=np.inf), balls.radii.max(initial=0.0),
+              balls.bounds)
     limit_A, limit_B = limits
     conclusive = limit_A is not None and limit_B is not None
     agree = False
@@ -650,9 +690,15 @@ class _AttractionBalls:
     <=K-minimal certified points (`floors`) and, negated, the <=K-maximal
     ones (`ceilings`): they bracket exactly the states that all of them
     do.  One field closure serves every residual and sign check the
-    certificate makes."""
+    certificate makes.
+
+    When `centres` is a complete `EnumerationResult`, the constructor
+    files its order bounds (`bound_orders`) too, and `bounds` counts
+    them; any other list gets none."""
 
     def __init__(self, sys, centres, stop_tol):
+        complete = isinstance(centres, EnumerationResult) and centres.complete
+        centres = list(centres)
         d = 2 * sys.n
         self._f = model.field(sys)
         vectors = np.array([_state_of(e).as_vector()
@@ -671,6 +717,7 @@ class _AttractionBalls:
         self.radii = np.array(radii)
         self.floors = [np.empty((0, d)) for _ in radii]
         self.ceilings = [np.empty((0, d)) for _ in radii]
+        self.bounds = self.bound_orders(sys, centres) if complete else 0
 
     def in_half_ball(self, y):
         """(rows, balls) mask: row i of y lies within half of ball k's
@@ -744,15 +791,16 @@ def basin_probe(sys: BivirusSystem | Analysis, equilibria,
     may differ from a lone `integrate` run by about `RTOL`.  Around each
     entry the transformed Jacobian may certify a ball of attraction (see
     `_attraction_ball`; the entries that get one are classed stable).  A
-    start found at a record mark within half that radius has its limit
-    certified, leaves the batch there and reports that equilibrium as its
-    final state; every state recorded on its path is then certified to
-    flow to the same equilibrium.  A start found at a record mark between
-    two such points, z_lo <=K y <=K z_hi, retires there too: the flow
-    preserves the order (Kamke), so its run stays between two runs that
-    converge to that equilibrium and converges there as well.  This rests
-    on the same numerical evidence as the ball itself, a recorded run that
-    entered a half ball, so it is exactly as rigorous.
+    start found before the first step or at a record mark within half
+    that radius has its limit certified, leaves the batch there and
+    reports that equilibrium as its final state; every state recorded on
+    its path is then certified to flow to the same equilibrium.  A start
+    found there between two such points, z_lo <=K y <=K z_hi, retires
+    too: the flow preserves the order (Kamke), so its run stays between
+    two runs that converge to that equilibrium and converges there as
+    well.  This rests on the same numerical evidence as the ball itself,
+    a recorded run that entered a half ball, so it is exactly as
+    rigorous.
 
     When `equilibria` is a `complete` `EnumerationResult`, order bounds
     join those points before the batch starts: beside an unstable
@@ -783,10 +831,7 @@ def basin_probe(sys: BivirusSystem | Analysis, equilibria,
                     and model.is_strictly_interior(s0)):
                 cells.append((i, j))
                 starts.append(s0)
-    balls = _AttractionBalls(sys, eq_list, DEFAULT_STOP_TOL)
-    bounds = 0
-    if isinstance(equilibria, EnumerationResult) and equilibria.complete:
-        bounds = balls.bound_orders(sys, eq_list)
+    balls = _AttractionBalls(sys, equilibria, DEFAULT_STOP_TOL)
     by_ball = by_path = by_rule = 0
     last = "none"
     if starts:
@@ -813,8 +858,9 @@ def basin_probe(sys: BivirusSystem | Analysis, equilibria,
               "%d order bounds; last retirement at t = %s; %d balls, radii "
               "%.3g to %.3g in their weighted norms",
               by_ball, by_path, by_rule,
-              int(np.count_nonzero(labels == LABEL_UNRESOLVED)), bounds, last,
-              len(balls.radii), balls.radii.min(initial=np.inf),
+              int(np.count_nonzero(labels == LABEL_UNRESOLVED)),
+              balls.bounds, last, len(balls.radii),
+              balls.radii.min(initial=np.inf),
               balls.radii.max(initial=0.0))
     return ProbeResult(labels=labels, final_states=finals,
                        a_values=a_vals, b_values=b_vals, legend=legend)

@@ -198,7 +198,8 @@ class TestSandwichCmd:
         assert "W extents" in out
 
     def test_inconclusive_exits_3(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "c.json", case_config("case2"))
+        # case1 has no certificate, so its corners need the stop rule
+        cfg = write_config(tmp_path / "c.json", case_config("case1"))
         assert cli.main(["sandwich", "--config", cfg, "--t-end", "2"]) == 3
         assert "INCONCLUSIVE" in capsys.readouterr().out
 

@@ -479,6 +479,43 @@ class TestLockstepNewton:
         assert peak <= 3 * 2**20
 
 
+class TestRootPolish:
+    def test_root_is_pinned_to_the_polished_root(self):
+        # The 7th n = 6 draw after 20 draws at each of n = 3, 4, 5: at its
+        # stable coexistence point ||J^-1||inf is about 6,800, so a root
+        # accepted at NEWTON_TOL lay 3.2e-8 from the Newton-polished one,
+        # a distance set by which seed converged first.
+        rng = np.random.default_rng(2025)
+        for n in (3, 4, 5):
+            for _ in range(20):
+                random_supercritical_system(rng, n)
+        for _ in range(7):
+            sys = random_supercritical_system(rng, 6)
+        (e,) = bv.find_coexistence_newton(sys)
+        ns = model.normalize_recovery(sys)
+        f = model.field(ns)
+        w = e.coordinates()
+        for _ in range(3):
+            w = w - np.linalg.solve(model.jacobian(ns, w), f(w))
+        assert np.linalg.norm(np.linalg.inv(model.jacobian(ns, w)),
+                              np.inf) > 1e3
+        assert np.max(np.abs(e.coordinates() - w)) <= 1e-12
+
+    def test_a_step_that_raises_the_residual_is_dropped(self):
+        # Beside the midpoint seed, where J is singular, the full step
+        # overshoots and raises the residual; from 0.3 * 1 it lowers it.
+        a, f, jac = _newton_parts(CASES["case2"].system())
+        near_mid = np.concatenate(a.bars) / 2 + [1e-3, 0.0, 0.0, 0.0]
+        v = np.array([near_mid, np.full(4, 0.3)])
+        trial = v + equilibria._newton_steps(jac(v), f(v))
+        worse = np.abs(f(trial)).max(axis=1) > np.abs(f(v)).max(axis=1)
+        assert worse.tolist() == [True, False]
+        polished = equilibria._polish(f, jac, v)
+        assert np.array_equal(polished[0], v[0])
+        assert np.array_equal(polished[1], trial[1])
+        assert equilibria._polish(f, jac, np.empty((0, 4))).shape == (0, 4)
+
+
 class TestEnumerate:
     def test_case4_three_equilibria(self):
         enum = bv.enumerate_equilibria(CASES["case4"].system())

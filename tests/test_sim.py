@@ -11,7 +11,8 @@ from bivirus.exceptions import DomainError, IntegrationError, ValidationError
 from bivirus.model import BivirusSystem, State
 from bivirus.sim import _integrate_flat, _integrate_starts
 
-from conftest import random_interior_state, random_ordered_pair
+from conftest import (random_interior_state, random_ordered_pair,
+                      random_supercritical_system)
 
 B1 = np.array([[1.6, 1.0], [1.0, 1.6]])
 EYE = np.eye(2)
@@ -271,9 +272,17 @@ class TestSandwich:
             bv.sandwich_test(CASES["case2"].system(), eta=0.5)
 
     def test_tiny_budget_inconclusive(self):
-        res = bv.sandwich_test(CASES["case2"].system(), t_end=2.0)
+        # case1's critical boundaries get no ball and its list is not
+        # complete, so only the stop rule can end a corner run
+        res = bv.sandwich_test(CASES["case1"].system(), t_end=2.0)
         assert not res.conclusive
         assert len(res.traj_A.times) > 1   # partial trajectories retained
+
+    def test_tiny_budget_is_enough_on_a_certified_split(self):
+        # case2's order bounds bracket both corners before the first step
+        res = bv.sandwich_test(CASES["case2"].system(), t_end=2.0)
+        assert res.conclusive and not res.agree
+        assert res.retired == (True, True)
 
     def test_third_trajectory_sandwiched(self):
         sys = CASES["case2"].system()
@@ -295,24 +304,66 @@ class TestSandwichRetirement:
     """Corners retire in the certified balls of attraction around the
     healthy state and the boundary equilibria of the analysis."""
 
-    def test_case2_corners_retire_on_the_profiles(self, caplog):
+    def test_case2_corners_retire_on_the_profiles(self, caplog, monkeypatch):
+        # The complete enumeration's order bounds bracket both corners at
+        # t = 0, so the stepper never takes a step.
+        def refused(*args):
+            raise AssertionError("the stepper took a step")
+
         a = equilibria.analysis(CASES["case2"].system())
         x1bar, x2bar = a.bars
         zero = np.zeros(2)
+        monkeypatch.setattr(sim, "_step_dp", refused)
         with caplog.at_level(logging.DEBUG, logger="bivirus.sim"):
             res = bv.sandwich_test(a)
         assert res.conclusive and not res.agree
         assert res.retired == (True, True)
-        assert res.traj_A.times[-1] < 10.0 and res.traj_B.times[-1] < 10.0
+        for tr, corner in zip((res.traj_A, res.traj_B),
+                              sim._corner_states(2, res.eta)):
+            assert tr.outcome.kind == "converged"
+            assert np.array_equal(tr.times, [0.0])
+            assert np.array_equal(tr.states, [corner.as_vector()])
         for got, want in ((res.limit_A, (zero, x2bar)),
                           (res.limit_B, (x1bar, zero))):
             assert np.array_equal(got.x1, want[0])
             assert np.array_equal(got.x2, want[1])
         (line,) = [r.getMessage() for r in caplog.records
                    if r.name == "bivirus.sim"]
-        assert re.match(r"sandwich: corner A retired in the ball of "
-                        r"boundary_virus2 at t = \d, corner B retired in the "
-                        r"ball of boundary_virus1 at t = \d; 2 balls", line)
+        assert re.match(r"sandwich: corner A retired between two certified "
+                        r"points bound for boundary_virus2 at t = 0, corner B "
+                        r"retired between two certified points bound for "
+                        r"boundary_virus1 at t = 0; 2 balls, .*, 4 order "
+                        r"bounds$", line)
+
+    def test_case3_limits_are_the_enumerated_point(self):
+        # The stable coexistence point gets a ball, and the bounds beside
+        # the two unstable boundary points bracket the corners soon after.
+        sys = CASES["case3"].system()
+        res = bv.sandwich_test(sys)
+        (coex,) = bv.enumerate_equilibria(sys).of_kind("coexistence")
+        assert res.retired == (True, True)
+        for limit in (res.limit_A, res.limit_B):
+            assert np.array_equal(limit.as_vector(), coex.coordinates())
+        assert res.traj_A.times[-1] <= 10.0 and res.traj_B.times[-1] <= 10.0
+
+    def test_no_newton_search_at_n3(self, monkeypatch):
+        # With both viruses supercritical at n > 2 the enumeration would
+        # need the Newton search; the sandwich keeps to the healthy and
+        # boundary centres instead.
+        calls = []
+        search = equilibria.find_coexistence_newton
+
+        def spy(*args, **kw):
+            calls.append(args)
+            return search(*args, **kw)
+
+        monkeypatch.setattr(equilibria, "find_coexistence_newton", spy)
+        sys = random_supercritical_system(np.random.default_rng(5), 3)
+        a = equilibria.analysis(sys)
+        assert all(bar is not None for bar in a.bars)
+        res = bv.sandwich_test(a)
+        assert res.conclusive and not calls
+        assert bv.enumerate_equilibria(a) and calls   # the spy does see it
 
     def test_case1_critical_boundary_has_no_ball(self):
         sys = CASES["case1"].system()
@@ -829,6 +880,60 @@ class TestOrderBounds:
         monkeypatch.setattr(model, "residual", refused)
         bv.basin_probe(sys, enum, sim.GridSpec(n_a=4, n_b=4))
         assert len(built) == 2
+
+
+class TestRetirementAtStart:
+    def test_probe_start_bracketed_at_t0_has_one_record(self):
+        # The starts the complete certificate holds before the first step
+        # come back at once; the others run.
+        sys = CASES["case2"].system()
+        balls = sim._AttractionBalls(sys, bv.enumerate_equilibria(sys),
+                                     sim.DEFAULT_STOP_TOL)
+        a_vals, b_vals = sim.GridSpec(n_a=8, n_b=8).axes()
+        starts = [State(a * np.ones(2), b * np.ones(2))
+                  for a in a_vals for b in b_vals if a + b < 1.0]
+        held = balls.locate(np.array([s.as_vector() for s in starts]))
+        assert (held >= 0).any() and (held < 0).any()
+        trajs = _integrate_starts(sys, starts, sim.DEFAULT_T_END,
+                                  record_interval=5.0, certificate=balls)
+        for s, k, tr in zip(starts, held, trajs):
+            assert tr.outcome.kind == "converged"
+            if k >= 0:
+                assert np.array_equal(tr.times, [0.0])
+                assert np.array_equal(tr.states, [s.as_vector()])
+            else:
+                assert len(tr.times) > 1
+
+    def test_error_names_its_start_after_others_retire(self):
+        # Start 0 (x1 = 0) is held before the first step, so the stepper
+        # runs start 1 alone as its row 0; the error still says start 1.
+        class HoldVirusFree:
+            def locate(self, y):
+                return np.where(y[:, 0] == 0.0, 0, -1)
+
+            def certify(self, held, paths):
+                pass
+
+        sys = BivirusSystem([[0.0]], [-1.0], [[0.0]], [1.0])
+        starts = [State([0.0], [0.1]), State([0.1], [0.1])]
+        with pytest.raises(IntegrationError, match="^start 1: feasible") as info:
+            _integrate_starts(sys, starts, 50.0, certificate=HoldVirusFree())
+        assert info.value.start == 1 and info.value.t > 0.0
+
+    def test_no_retirement_before_the_final_record_without_stop_tol(self):
+        sys = CASES["case2"].system()
+        balls = sim._AttractionBalls(sys, bv.enumerate_equilibria(sys),
+                                     sim.DEFAULT_STOP_TOL)
+        corner = sim._corner_states(2, sim.DEFAULT_ETA)[0]
+        assert balls.locate(corner.as_vector()[None])[0] >= 0
+        (tr,) = _integrate_starts(sys, [corner], 5.0, stop_tol=None,
+                                  certificate=balls)
+        assert tr.times[-1] == pytest.approx(5.0)
+
+    def test_nonpositive_horizon_refused(self):
+        sys = CASES["case2"].system()
+        with pytest.raises(DomainError, match="t_end"):
+            bv.sandwich_test(sys, t_end=0.0)
 
 
 class TestFirstSameAsLast:
