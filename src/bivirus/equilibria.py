@@ -25,6 +25,13 @@ validated system with its recovery-normalized rates, (R1, R2) and both
 endemic profiles.  Build that context once with `analysis` and hand it to
 several analyses, so they share the spectral work instead of repeating it.
 
+Coexistence is ruled out, and no coexistence search runs at any n,
+when `coexistence_excluded` holds: a virus is subcritical, the normalized
+rates of one virus dominate the other's entrywise, or one endemic
+profile exceeds the other at every node by more than PROFILE_MARGIN.  The
+healthy state and the boundary equilibria are then every equilibrium of
+the system, and the enumeration says so (`EnumerationResult.complete`).
+
 The flow preserves an order (x1 up, x2 down), and `order_bounds` lists
 points beside the unstable equilibria whose orbits are monotone in it, so
 each converges to the nearest equilibrium above or below it in that
@@ -69,6 +76,15 @@ ENDEMIC_FLOOR_ULPS = 4
 #: outweighs its quadratic one and stays far above rounding (about 1e-8
 #: against 1e-16 on the bundled cases).
 ORDER_BOUND_EPS = 1e-6
+#: Least nodewise gap between the endemic profiles at which the profile
+#: test rules coexistence out (`coexistence_excluded`).  The proof needs
+#: the exact profiles strictly ordered; the computed ones solve their
+#: equations to a few ulps, so on a line of equilibria, where the exact
+#: profiles coincide, they differ by about 1e-16 and rounding alone may
+#: order every node.  1e-7 stays far above that rounding and far below the
+#: gaps where the test matters (6.9e-3 and more on the weakly coupled
+#: two-community systems of the benchmark, seeds 1-20).
+PROFILE_MARGIN = 1e-7
 
 KIND_HEALTHY = "healthy"
 KIND_BOUNDARY_1 = "boundary_virus1"
@@ -121,7 +137,10 @@ class BoundaryVerdict:
 @dataclass(frozen=True)
 class SufficientConditions:
     """Tri-state report for the three coexistence-excluding dominance
-    tests, each one of {holds_for_virus1, holds_for_virus2, inconclusive}."""
+    tests, each one of {holds_for_virus1, holds_for_virus2, inconclusive}.
+    The enumeration relies on `entrywise_dominance` and
+    `profile_dominance` (see `coexistence_excluded`), not on
+    `row_sum_gap`."""
 
     entrywise_dominance: str
     row_sum_gap: str
@@ -155,9 +174,10 @@ class EnumerationResult:
     band of 1), which reads True without any line (see
     `enumerate_equilibria`).  `complete` is True only when the list
     provably holds every equilibrium of the system: no coexistence is
-    possible (a virus is subcritical) or the n = 2 analytic route accounted
-    for every real root of its quadratic, and no equilibrium is on the
-    singular boundary.  The Newton route never reads True."""
+    possible (`coexistence_excluded`, at any n) or the n = 2 analytic
+    route accounted for every real root of its quadratic, and no
+    equilibrium is on the singular boundary.  The Newton route never reads
+    True."""
 
     equilibria: list[Equilibrium]
     line_degeneracy_suspected: bool = False
@@ -318,9 +338,88 @@ def _dominance(a, b) -> bool:
     return bool((a >= b).all() and (a > b).any())
 
 
+def _tri(wins2, wins1):
+    if wins2:
+        return "holds_for_virus2"
+    if wins1:
+        return "holds_for_virus1"
+    return "inconclusive"
+
+
+def _profile_dominance(bars):
+    """(verdict, margin) of the strict profile test.  margin is the least
+    nodewise gap by which one profile exceeds the other (at most 0 when
+    neither is higher at every node); the verdict names the virus whose
+    profile is higher by more than PROFILE_MARGIN at every node."""
+    gap = bars[1] - bars[0]
+    margin = max(gap.min(), -gap.max())
+    return _tri(gap.min() > PROFILE_MARGIN, -gap.max() > PROFILE_MARGIN), margin
+
+
+def _exclusion(a):
+    """(test, margin) of the first test that rules coexistence out on the
+    Analysis a, or None when none does.  The margin is 1 - min(R) for a
+    subcritical virus, the largest entry gap for entrywise dominance and
+    the least nodewise gap for profile dominance."""
+    if any(bar is None for bar in a.bars):
+        return "subcritical virus", 1.0 - min(a.R)
+    B1, B2 = a.ns.B1, a.ns.B2
+    if _dominance(B1, B2) or _dominance(B2, B1):
+        return "entrywise_dominance", float(np.abs(B1 - B2).max())
+    verdict, margin = _profile_dominance(a.bars)
+    if verdict != "inconclusive":
+        return "profile_dominance", float(margin)
+    return None
+
+
+def coexistence_excluded(sys: BivirusSystem | Analysis) -> bool:
+    """Whether the system provably has no coexistence equilibrium, by one
+    of three tests on the recovery-normalized rates B1, B2 (hats dropped)
+    and the endemic profiles x1_bar, x2_bar:
+
+    - a virus is subcritical: no equilibrium carries it;
+    - entrywise dominance, B1 >= B2 with B1 != B2 (or the reverse);
+    - strict profile dominance, x1_bar > x2_bar + PROFILE_MARGIN at every
+      node (or the reverse).
+
+    *Entrywise.*  A coexistence point c = (c1, c2) has s = 1 - c1 - c2 > 0
+    and c1 = S B1 c1, c2 = S B2 c2 with S = diag(s) and c1, c2 > 0, so
+    rho(S B1) = rho(S B2) = 1 (a positive eigenvector of an irreducible
+    nonnegative matrix belongs to its Perron root).  But S B1 >= S B2,
+    S B1 != S B2 and S B2 irreducible give rho(S B1) > rho(S B2).
+
+    *Strict profiles.*  Let x1_bar > x2_bar at every node and let c be a
+    coexistence point.  Write y = c1 + c2, r = c1 / x1_bar with its least
+    entry at node i, and q = c2 / x2_bar with its greatest entry at node
+    l.  Comparing c1 = (1 - y) o B1 c1, where c1 >= r_i x1_bar, with
+    x1_bar = (1 - x1_bar) o B1 x1_bar at node i gives y_i >= x1_bar_i;
+    the same comparison for virus 2 at node l, where c2 <= q_l x2_bar,
+    gives y_l <= x2_bar_l.  Also r < 1 and q < 1: at the node m where r is
+    largest the comparison gives y_m <= x1_bar_m, so r_m >= 1 would leave
+    c2_m = y_m - r_m x1_bar_m <= 0, and likewise for q.  Then
+    q_l >= q_i = (y_i - c1_i) / x2_bar_i >= (1 - r_i) x1_bar_i / x2_bar_i
+    > 1 - r_i, and r_i <= r_l = (y_l - c2_l) / x1_bar_l
+    <= (1 - q_l) x2_bar_l / x1_bar_l <= 1 - q_l < r_i, a contradiction.
+
+    The profiles are computed, not exact, so the profile test asks for a
+    gap above PROFILE_MARGIN; the entrywise test compares the normalized
+    rates exactly, as `sufficient_conditions` does.
+    """
+    return _exclusion(analysis(sys)) is not None
+
+
 def sufficient_conditions(sys: BivirusSystem | Analysis) -> SufficientConditions:
     """Evaluate the three coexistence-excluding dominance tests in both
     virus orderings on the recovery-normalized rates.
+
+    `entrywise_dominance` and `profile_dominance` are the tests of
+    `coexistence_excluded`, proved there, and `enumerate_equilibria` runs
+    no coexistence search when either holds.  `profile_dominance` asks
+    for a gap above PROFILE_MARGIN at every node, so on a line of
+    equilibria, whose two profiles differ only by rounding, it reads
+    inconclusive.  `row_sum_gap` (every row sum of one virus's rates above
+    every row sum of the other's) is reported but has no proof here, and
+    the enumeration does not rely on it.
 
     Requires both viruses supercritical (each boundary equilibrium must
     exist for the comparisons to mean anything).
@@ -330,24 +429,15 @@ def sufficient_conditions(sys: BivirusSystem | Analysis) -> SufficientConditions
     if x1bar is None or x2bar is None:
         raise DomainError("sufficient_conditions needs R1 > 1 and R2 > 1")
 
-    def tri(wins2, wins1):
-        if wins2:
-            return "holds_for_virus2"
-        if wins1:
-            return "holds_for_virus1"
-        return "inconclusive"
-
-    entrywise = tri(_dominance(ns.B2, ns.B1), _dominance(ns.B1, ns.B2))
+    entrywise = _tri(_dominance(ns.B2, ns.B1), _dominance(ns.B1, ns.B2))
 
     rs1 = ns.B1.sum(axis=1)
     rs2 = ns.B2.sum(axis=1)
-    row_gap = tri(rs2.min() > rs1.max(), rs1.min() > rs2.max())
-
-    profile = tri(_dominance(x2bar, x1bar), _dominance(x1bar, x2bar))
+    row_gap = _tri(rs2.min() > rs1.max(), rs1.min() > rs2.max())
 
     return SufficientConditions(entrywise_dominance=entrywise,
                                 row_sum_gap=row_gap,
-                                profile_dominance=profile)
+                                profile_dominance=_profile_dominance(a.bars)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -478,16 +568,20 @@ def default_seed_grid(sys: BivirusSystem | Analysis):
     solves x_bar = (1 - x_bar) o (B x_bar); the second block is its mirror
     image.  Newton's first step from that seed is therefore a
     least-squares step (`_newton_steps`)."""
-    x1bar, x2bar = analysis(sys).bars
+    return [State.from_vector(v) for v in _seed_array(analysis(sys))]
+
+
+def _seed_array(a):
+    """The seeds of `default_seed_grid` on the Analysis a as the rows of
+    one array, a outer and b inner, built by one broadcast and kept by the
+    test of `model.in_feasible_set(s, 0.0)`."""
+    x1bar, x2bar = a.bars
     if x1bar is None or x2bar is None:
-        return []
-    seeds = []
-    for a in SEED_LEVELS:
-        for b in SEED_LEVELS:
-            s = State(a * x1bar, b * x2bar)
-            if model.in_feasible_set(s, 0.0):
-                seeds.append(s)
-    return seeds
+        return np.empty((0, 2 * a.system.n))
+    x1, x2 = np.broadcast_arrays(SEED_LEVELS[:, None, None] * x1bar,
+                                 SEED_LEVELS[None, :, None] * x2bar)
+    feasible = ((x1 >= 0.0) & (x2 >= 0.0) & (x1 + x2 <= 1.0)).all(axis=-1)
+    return np.concatenate([x1, x2], axis=-1)[feasible]
 
 
 def _ball_radius(J, lipschitz):
@@ -686,9 +780,10 @@ def find_coexistence_newton(sys: BivirusSystem | Analysis, seeds=None):
     ns = a.ns
     k = 2 * ns.n
     if seeds is None:
-        seeds = default_seed_grid(a)
-    starts = np.array([s.as_vector() if isinstance(s, State) else s
-                       for s in seeds], dtype=float).reshape(len(seeds), k)
+        starts = _seed_array(a)
+    else:
+        starts = np.array([s.as_vector() if isinstance(s, State) else s
+                           for s in seeds], dtype=float).reshape(len(seeds), k)
     if not np.isfinite(starts).all():
         raise DomainError("newton seed has a NaN or infinite entry")
     f = model.field(ns)
@@ -740,8 +835,11 @@ def _dedup(states):
 def enumerate_equilibria(sys: BivirusSystem | Analysis,
                          newton_seeds=None) -> EnumerationResult:
     """Assemble and classify every equilibrium: the healthy state, each
-    boundary equilibrium that exists, and the coexistence set (analytic
-    quadratic for n = 2, seeded Newton otherwise).
+    boundary equilibrium that exists, and the coexistence set.  No
+    coexistence search runs, at any n, when `coexistence_excluded` holds;
+    otherwise the set comes from the analytic quadratic for n = 2 and from
+    seeded Newton (`find_coexistence_newton`) for n > 2.  The DEBUG log
+    names the test that ruled coexistence out and its margin.
 
     `line_degeneracy_suspected` is set when any equilibrium sits on the
     singular boundary of the classification band.  That is the numerical
@@ -752,12 +850,12 @@ def enumerate_equilibria(sys: BivirusSystem | Analysis,
     a system that has no line.
 
     `complete` is True when the list provably holds every equilibrium:
-    no equilibrium is on the singular boundary, and either a virus is
-    subcritical (no equilibrium then carries it, so there is no
-    coexistence to search for) or n = 2 and the analytic route accounted
-    for every real root of its quadratic (`_coexistence_n2`).  A root that
-    route drops for lying within INTERIOR_FLOOR of the boundary leaves it
-    False, and so does the Newton route, which may miss roots.
+    no equilibrium is on the singular boundary, and either coexistence is
+    excluded (so there is nothing to search for) or n = 2 and the analytic
+    route accounted for every real root of its quadratic
+    (`_coexistence_n2`).  A root that route drops for lying within
+    INTERIOR_FLOOR of the boundary leaves it False, and so does the Newton
+    route, which may miss roots.
     """
     a = analysis(sys)
     sys, (x1bar, x2bar) = a.system, a.bars
@@ -771,13 +869,16 @@ def enumerate_equilibria(sys: BivirusSystem | Analysis,
         items.append(_make_equilibrium(sys, State(np.zeros(n), x2bar),
                                        KIND_BOUNDARY_2))
     complete = True
-    if x1bar is not None and x2bar is not None:
-        if n == 2:
-            coexistence, complete = _coexistence_n2(a)
-            items.extend(coexistence)
-        else:
-            items.extend(find_coexistence_newton(a, seeds=newton_seeds))
-            complete = False
+    excluded = _exclusion(a)
+    if excluded is not None:
+        log.debug("coexistence excluded by %s (margin %.3g): no coexistence "
+                  "search", *excluded)
+    elif n == 2:
+        coexistence, complete = _coexistence_n2(a)
+        items.extend(coexistence)
+    else:
+        items.extend(find_coexistence_newton(a, seeds=newton_seeds))
+        complete = False
 
     degenerate = any(e.spectrum_class == "singular_boundary" or e.degenerate
                      for e in items)

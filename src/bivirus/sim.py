@@ -50,9 +50,10 @@ w- falls to the greatest one below.  Such order bounds
 One constructor builds the certificate from a list of equilibria and
 adds the order bounds when the list is a complete `EnumerationResult`.
 `basin_probe` hands it the equilibria it is given.  `sandwich_test`
-hands it `equilibria.enumerate_equilibria` when that needs no Newton
-search (n = 2, or a virus is subcritical), and otherwise the healthy
-state and the boundary equilibria of the system's `equilibria.Analysis`.
+hands it `equilibria.enumerate_equilibria` when that runs no Newton
+search (n = 2, or `equilibria.coexistence_excluded` holds), and
+otherwise the healthy state and the boundary equilibria of the system's
+`equilibria.Analysis`.
 A batch locates every start once before its first step, and a start
 held there retires at t = 0 with a one-record trajectory: on case2 the
 corners (1, 0) and (0, 1) and the bounds beside the saddle bracket both
@@ -459,8 +460,8 @@ def sandwich_test(sys: BivirusSystem | Analysis,
 
     Both corners run as one lockstep batch of the `integrate` stepper,
     retiring on the certificate of `_AttractionBalls`.  When the
-    enumeration needs no Newton search (n = 2, or a virus is
-    subcritical), the certificate is built on
+    enumeration runs no Newton search (n = 2, or
+    `equilibria.coexistence_excluded` holds), the certificate is built on
     `equilibria.enumerate_equilibria`, with its order bounds when that
     list is complete; otherwise on the healthy state and the boundary
     equilibria of the analysis, and `find_coexistence_newton` is never
@@ -480,7 +481,7 @@ def sandwich_test(sys: BivirusSystem | Analysis,
     a = equilibria.analysis(sys)
     sys, n = a.system, a.system.n
     corners = _corner_states(n, eta)
-    if n == 2 or any(bar is None for bar in a.bars):
+    if n == 2 or equilibria.coexistence_excluded(a):
         centres = equilibria.enumerate_equilibria(a)
         named = [(e.kind, e.state) for e in centres]
     else:

@@ -1,13 +1,28 @@
 import numpy as np
 import pytest
 
-from bivirus import CASES, BivirusSystem
+from bivirus import CASES, BivirusSystem, equilibria
 from bivirus.model import State
 
 
 @pytest.fixture(scope="session")
 def case_systems():
     return {name: cs.system() for name, cs in CASES.items()}
+
+
+@pytest.fixture
+def newton_calls(monkeypatch):
+    """The calls made to `equilibria.find_coexistence_newton`, which still
+    runs."""
+    calls = []
+    search = equilibria.find_coexistence_newton
+
+    def spy(*args, **kw):
+        calls.append(args)
+        return search(*args, **kw)
+
+    monkeypatch.setattr(equilibria, "find_coexistence_newton", spy)
+    return calls
 
 
 def random_spreading_matrix(rng, n, rho_lo=1.3, rho_hi=2.5):

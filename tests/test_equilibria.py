@@ -1,3 +1,5 @@
+import logging
+import re
 import tracemalloc
 
 import numpy as np
@@ -702,3 +704,154 @@ class TestEnumerationComplete:
         enum = bv.enumerate_equilibria(sys)
         assert [e.kind for e in enum] == ["healthy", "boundary_virus1"]
         assert enum.complete
+
+
+def _lognormal_rates(rng, n):
+    """Rates with lognormal entries, scaled to a Perron root drawn from
+    [1.3, 2.5]: their spread makes coexistence common (about a fifth of
+    the n = 2 pairs)."""
+    M = rng.lognormal(0.0, 1.0, (n, n))
+    return M * (rng.uniform(1.3, 2.5) / np.max(np.abs(np.linalg.eigvals(M))))
+
+
+def _lognormal_system(rng, n):
+    eye = np.eye(n)
+    return BivirusSystem(_lognormal_rates(rng, n), eye,
+                         _lognormal_rates(rng, n), eye)
+
+
+def _constructed_lines(count, seed=17):
+    """Systems carrying a segment of coexistence points, n = 2 to 6, with
+    a random C blended into the rank-one choice."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 7))
+        yield bv.construct_equilibrium_line(
+            random_spreading_matrix(rng, n), mu=1.0,
+            c_matrix=rng.uniform(0.1, 1.0, (n, n)),
+            blend_weight=rng.uniform(0.0, 1.0))[0]
+
+
+class TestCoexistenceExcluded:
+    def test_n2_analytic_oracle(self):
+        # The analytic route is complete at n = 2: wherever the predicate
+        # holds it must find no coexistence point.
+        rng = np.random.default_rng(23)
+        excluded = coexisting = 0
+        for _ in range(300):
+            a = equilibria.analysis(_lognormal_system(rng, 2))
+            found, complete = equilibria._coexistence_n2(a)
+            if equilibria.coexistence_excluded(a):
+                excluded += 1
+                assert complete and not found
+            coexisting += bool(found)
+        assert excluded >= 100 and coexisting >= 50
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_newton_oracle(self, n):
+        rng = np.random.default_rng(29 + n)
+        excluded = coexisting = 0
+        for _ in range(40):
+            a = equilibria.analysis(_lognormal_system(rng, n))
+            found = bv.find_coexistence_newton(a)
+            if equilibria.coexistence_excluded(a):
+                excluded += 1
+                assert not found
+            coexisting += bool(found)
+        assert excluded >= 5 and coexisting >= 1
+
+    def test_case4_skips_the_search(self, caplog):
+        sys = CASES["case4"].system()
+        assert equilibria.coexistence_excluded(sys)
+        with caplog.at_level(logging.DEBUG, logger="bivirus.equilibria"):
+            enum = bv.enumerate_equilibria(sys)
+        assert enum.complete and not enum.of_kind("coexistence")
+        assert any(re.match(r"coexistence excluded by profile_dominance "
+                            r"\(margin 0\.0496\)", r.getMessage())
+                   for r in caplog.records)
+
+    @pytest.mark.parametrize("sys", [
+        CASES["case1"].system(), _scaled_case2(C_STAR - 1e-8),
+        _scaled_case2(C_STAR + 1e-8)], ids=["case1", "c*-1e-8", "c*+1e-8"])
+    def test_controls_search(self, sys):
+        assert not equilibria.coexistence_excluded(sys)
+
+    def test_lifted_case2_still_searches(self, newton_calls):
+        sys = _lifted_case2()
+        assert not equilibria.coexistence_excluded(sys)
+        enum = bv.enumerate_equilibria(sys)
+        assert newton_calls and not enum.complete
+
+    def test_dominated_n3_skips_newton_and_is_complete(self, newton_calls):
+        sys = random_supercritical_system(np.random.default_rng(5), 3)
+        assert bv.sufficient_conditions(sys).profile_dominance != "inconclusive"
+        enum = bv.enumerate_equilibria(sys)
+        assert not newton_calls
+        assert enum.complete
+        assert [e.kind for e in enum] == ["healthy", "boundary_virus1",
+                                          "boundary_virus2"]
+
+    @pytest.mark.parametrize("raise_by,complete", [(1e-7, True),
+                                                   (1e-9, False)])
+    def test_entrywise_dominance_skips_newton(self, newton_calls, raise_by,
+                                              complete):
+        # One rate raised by 1e-7 moves the profiles by far less than
+        # PROFILE_MARGIN, so only the exact entrywise test holds.  Raised
+        # by 1e-9, both boundary equilibria are critical: the list is not
+        # complete although no coexistence point exists.
+        base = random_spreading_matrix(np.random.default_rng(37), 4)
+        raised = base.copy()
+        raised[1, 2] += raise_by
+        sys = BivirusSystem(raised, np.eye(4), base, np.eye(4))
+        rep = bv.sufficient_conditions(sys)
+        assert rep.entrywise_dominance == "holds_for_virus1"
+        assert rep.profile_dominance == "inconclusive"
+        assert equilibria.coexistence_excluded(sys)
+        enum = bv.enumerate_equilibria(sys)
+        assert enum.complete == complete and not newton_calls
+
+    def test_lines_are_not_excluded(self, newton_calls):
+        # The two profiles of a line differ only by rounding; a bare
+        # comparison orders them on most of these systems, the margin on
+        # none, and the search still runs.
+        rounding_ordered = []
+        for sys in _constructed_lines(400):
+            a = equilibria.analysis(sys)
+            x1bar, x2bar = a.bars
+            assert np.max(np.abs(x1bar - x2bar)) <= 1e-14
+            if (equilibria._dominance(x1bar, x2bar)
+                    or equilibria._dominance(x2bar, x1bar)):
+                rounding_ordered.append(a)
+            assert not equilibria.coexistence_excluded(a)
+            assert bv.sufficient_conditions(a).profile_dominance == \
+                "inconclusive"
+        assert len(rounding_ordered) >= 100
+        searched = [a for a in rounding_ordered if a.system.n > 2][:3]
+        for a in searched:
+            enum = bv.enumerate_equilibria(a)
+            assert enum.line_degeneracy_suspected and not enum.complete
+        assert len(newton_calls) == len(searched) == 3
+
+    def test_case_reports_unchanged(self):
+        rep = {name: bv.sufficient_conditions(CASES[name].system())
+               for name in ("case1", "case4")}
+        assert rep["case1"].profile_dominance == "inconclusive"
+        assert rep["case4"].profile_dominance == "holds_for_virus2"
+
+
+@pytest.mark.parametrize("sys", [CASES["case2"].system(), _lifted_case2(),
+                                 CASES["case4"].system()],
+                         ids=["case2", "lifted", "case4"])
+def test_seed_grid_matches_the_loop(sys):
+    # The broadcast grid keeps the loop's rows, bitwise and in order,
+    # including where the feasibility test drops some.
+    a = equilibria.analysis(sys)
+    x1bar, x2bar = a.bars
+    loop = [State(p * x1bar, q * x2bar).as_vector()
+            for p in equilibria.SEED_LEVELS for q in equilibria.SEED_LEVELS
+            if model.in_feasible_set(State(p * x1bar, q * x2bar), 0.0)]
+    grid = equilibria._seed_array(a)
+    assert 0 < len(loop) < len(equilibria.SEED_LEVELS) ** 2
+    assert grid.tobytes() == np.array(loop).tobytes()
+    assert [s.as_vector().tobytes() for s in equilibria.default_seed_grid(a)] \
+        == [v.tobytes() for v in loop]

@@ -346,24 +346,34 @@ class TestSandwichRetirement:
             assert np.array_equal(limit.as_vector(), coex.coordinates())
         assert res.traj_A.times[-1] <= 10.0 and res.traj_B.times[-1] <= 10.0
 
-    def test_no_newton_search_at_n3(self, monkeypatch):
-        # With both viruses supercritical at n > 2 the enumeration would
-        # need the Newton search; the sandwich keeps to the healthy and
-        # boundary centres instead.
-        calls = []
-        search = equilibria.find_coexistence_newton
-
-        def spy(*args, **kw):
-            calls.append(args)
-            return search(*args, **kw)
-
-        monkeypatch.setattr(equilibria, "find_coexistence_newton", spy)
-        sys = random_supercritical_system(np.random.default_rng(5), 3)
+    def test_no_newton_search_at_n3(self, newton_calls):
+        # With both viruses supercritical at n > 2 and no exclusion test
+        # holding, the enumeration would need the Newton search; the
+        # sandwich keeps to the healthy and boundary centres instead.
+        sys = random_supercritical_system(np.random.default_rng(0), 3)
         a = equilibria.analysis(sys)
         assert all(bar is not None for bar in a.bars)
+        assert not equilibria.coexistence_excluded(a)
         res = bv.sandwich_test(a)
-        assert res.conclusive and not calls
-        assert bv.enumerate_equilibria(a) and calls   # the spy does see it
+        assert res.conclusive and not newton_calls
+        assert bv.enumerate_equilibria(a) and newton_calls   # the spy sees it
+
+    def test_dominated_n3_builds_on_the_complete_enumeration(
+            self, newton_calls, caplog):
+        # Strictly ordered profiles rule coexistence out, so the
+        # enumeration is complete without a search and the sandwich files
+        # its order bounds.
+        sys = random_supercritical_system(np.random.default_rng(5), 3)
+        assert equilibria.coexistence_excluded(sys)
+        with caplog.at_level(logging.DEBUG, logger="bivirus.sim"):
+            res = bv.sandwich_test(sys)
+        assert res.conclusive and res.agree and not newton_calls
+        (line,) = [r.getMessage() for r in caplog.records
+                   if r.name == "bivirus.sim"]
+        assert re.search(r", [1-9]\d* order bounds$", line)
+        (stable,) = [e for e in bv.enumerate_equilibria(sys)
+                     if e.spectrum_class == "stable"]
+        assert np.array_equal(res.limit_A.as_vector(), stable.coordinates())
 
     def test_case1_critical_boundary_has_no_ball(self):
         sys = CASES["case1"].system()
