@@ -83,10 +83,9 @@ def _floats(value):
     return np.asarray(value, dtype=float)
 
 
-def system_from_config(cfg, path="<config>", build=model.validate):
-    """build(system) for the config's system: the validated system itself,
-    or with build=equilibria.analysis its Analysis, validated once.  An
-    invalid system is a ConfigError naming the file."""
+def system_from_config(cfg, path="<config>"):
+    """The `equilibria.Analysis` of the config's system, validated once.
+    An invalid system is a ConfigError naming the file."""
     spec = cfg.get("system")
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: missing 'system' object")
@@ -98,7 +97,7 @@ def system_from_config(cfg, path="<config>", build=model.validate):
     D1, D2 = (_numeric(spec.get(k, np.eye(n)), k, path, _floats)
               for k in ("D1", "D2"))
     try:
-        return build(BivirusSystem(B1, D1, B2, D2))
+        return equilibria.analysis(BivirusSystem(B1, D1, B2, D2))
     except (ValidationError, DomainError) as e:
         raise ConfigError(f"{path}: invalid system: {e}") from e
 
@@ -110,14 +109,15 @@ def states_from_config(cfg, n, path="<config>"):
     states = []
     for i, item in enumerate(raw):
         try:
-            s = State(np.asarray(item["x1"], float), np.asarray(item["x2"], float))
+            x1, x2 = (np.asarray(item[k], float) for k in ("x1", "x2"))
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"{path}: initial_conditions[{i}] needs "
                               f"'x1' and 'x2' arrays of numbers") from e
-        if s.n != n:
-            raise ConfigError(f"{path}: initial_conditions[{i}] has "
-                              f"dimension {s.n}, system has {n}")
-        states.append(s)
+        if x1.shape != (n,) or x2.shape != (n,):
+            raise ConfigError(f"{path}: initial_conditions[{i}] needs "
+                              f"'x1' and 'x2' of length {n}, got shapes "
+                              f"{x1.shape} and {x2.shape}")
+        states.append(State(x1, x2))
     return states
 
 
@@ -255,7 +255,7 @@ def analysis_to_dict(rep: AnalysisReport) -> dict:
 def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
     rep = build_analysis_report(
-        system_from_config(cfg, args.config, equilibria.analysis))
+        system_from_config(cfg, args.config))
     if args.json:
         text = json.dumps(analysis_to_dict(rep), indent=2) + "\n"
         name = "analysis.json"
@@ -283,7 +283,7 @@ def trajectory_to_csv(traj: sim.Trajectory) -> str:
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    a = system_from_config(cfg, args.config, equilibria.analysis)
+    a = system_from_config(cfg, args.config)
     starts = states_from_config(cfg, a.system.n, args.config)
     if args.out is None:
         raise ConfigError("simulate requires --out for the CSV files")
@@ -377,13 +377,13 @@ def render_sandwich_text(res: sim.SandwichResult) -> str:
 
 def cmd_sandwich(args) -> int:
     cfg = load_config(args.config)
-    system = system_from_config(cfg, args.config)
+    a = system_from_config(cfg, args.config)
     eta = _setting(args, cfg, "eta", sim.DEFAULT_ETA)
     t_end = _setting(args, cfg, "t_end", sim.DEFAULT_T_END)
     tol = _setting(args, cfg, "tol", sim.DEFAULT_STOP_TOL)
     agree_tol = _setting(args, cfg, "agree_tol", 1e-6)
     seed = _setting(args, cfg, "seed", 0, int)
-    res = sim.sandwich_test(system, eta=eta, t_end=t_end, tol=agree_tol,
+    res = sim.sandwich_test(a, eta=eta, t_end=t_end, tol=agree_tol,
                             stop_tol=tol, seed=seed)
     if args.json:
         text = json.dumps(sandwich_to_dict(res), indent=2) + "\n"

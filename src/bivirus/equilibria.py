@@ -554,10 +554,11 @@ def _coexistence_n2(a):
 # ---------------------------------------------------------------------------
 # coexistence equilibria, general-n Newton search
 
-def default_seed_grid(sys: BivirusSystem | Analysis):
+def default_seed_grid(sys: BivirusSystem | Analysis) -> np.ndarray:
     """Seed states (a * x1_bar, b * x2_bar) for a, b in SEED_LEVELS that lie
     in the feasible set, respecting the geometry equilibria are expected
-    to have.  Empty when either virus is subcritical (no coexistence is
+    to have, as the rows (x1, x2) of one (m, 2n) array, a outer and b
+    inner.  Empty when either virus is subcritical (no coexistence is
     possible then).
 
     The seed a = b = 0.5 is a singular point of the Newton Jacobian J of
@@ -568,13 +569,7 @@ def default_seed_grid(sys: BivirusSystem | Analysis):
     solves x_bar = (1 - x_bar) o (B x_bar); the second block is its mirror
     image.  Newton's first step from that seed is therefore a
     least-squares step (`_newton_steps`)."""
-    return [State.from_vector(v) for v in _seed_array(analysis(sys))]
-
-
-def _seed_array(a):
-    """The seeds of `default_seed_grid` on the Analysis a as the rows of
-    one array, a outer and b inner, built by one broadcast and kept by the
-    test of `model.in_feasible_set(s, 0.0)`."""
+    a = analysis(sys)
     x1bar, x2bar = a.bars
     if x1bar is None or x2bar is None:
         return np.empty((0, 2 * a.system.n))
@@ -754,7 +749,8 @@ def _polish(f, jac, v):
 
 
 def find_coexistence_newton(sys: BivirusSystem | Analysis, seeds=None):
-    """Coexistence equilibria by damped Newton from a family of seeds.
+    """Coexistence equilibria by damped Newton from a family of seeds:
+    `seeds` (States or flat vectors), or `default_seed_grid` when None.
 
     The seeds run through `_newton_root` in lockstep batches, as many per
     batch as keep its Jacobian stack within NEWTON_BATCH_BYTES (every
@@ -780,7 +776,7 @@ def find_coexistence_newton(sys: BivirusSystem | Analysis, seeds=None):
     ns = a.ns
     k = 2 * ns.n
     if seeds is None:
-        starts = _seed_array(a)
+        starts = default_seed_grid(a)
     else:
         starts = np.array([s.as_vector() if isinstance(s, State) else s
                            for s in seeds], dtype=float).reshape(len(seeds), k)
@@ -838,8 +834,13 @@ def enumerate_equilibria(sys: BivirusSystem | Analysis,
     boundary equilibrium that exists, and the coexistence set.  No
     coexistence search runs, at any n, when `coexistence_excluded` holds;
     otherwise the set comes from the analytic quadratic for n = 2 and from
-    seeded Newton (`find_coexistence_newton`) for n > 2.  The DEBUG log
-    names the test that ruled coexistence out and its margin.
+    seeded Newton (`find_coexistence_newton`) for n > 2, from
+    `newton_seeds` when given and from `default_seed_grid` when None.  An
+    empty `newton_seeds` runs no Newton search: `find_coexistence_newton`
+    is not called, and at n > 2 the list holds the healthy and boundary
+    equilibria alone (the n = 2 route and an excluded coexistence need no
+    seeds).  The DEBUG log names the test that ruled coexistence out and
+    its margin.
 
     `line_degeneracy_suspected` is set when any equilibrium sits on the
     singular boundary of the classification band.  That is the numerical
@@ -877,8 +878,9 @@ def enumerate_equilibria(sys: BivirusSystem | Analysis,
         coexistence, complete = _coexistence_n2(a)
         items.extend(coexistence)
     else:
-        items.extend(find_coexistence_newton(a, seeds=newton_seeds))
         complete = False
+        if newton_seeds is None or len(newton_seeds):
+            items.extend(find_coexistence_newton(a, seeds=newton_seeds))
 
     degenerate = any(e.spectrum_class == "singular_boundary" or e.degenerate
                      for e in items)

@@ -26,9 +26,9 @@ every rate (time) leaves the verdict unchanged.  A run the rule stops is
 With `stop_tol=None` a run goes on to t_end and the same rule, at
 `DEFAULT_STOP_TOL`, judges its final record alone.
 
-A batch run also retires early, before its first step or at a record
-mark, once its limit is certified; it then reports that equilibrium as
-its limit, bitwise.  The
+A batch run also retires early, at t = 0 or at a later record mark,
+once its limit is certified; it then reports that equilibrium as its
+limit, bitwise.  The
 certificate (`_AttractionBalls`) has three parts.  The first is a ball of
 attraction around an equilibrium e (`_attraction_ball`, from the
 logarithmic norm of the Metzler transformed Jacobian): a run within half
@@ -49,16 +49,14 @@ w- falls to the greatest one below.  Such order bounds
 (`equilibria.order_bounds`) bracket states the way path points do.
 One constructor builds the certificate from a list of equilibria and
 adds the order bounds when the list is a complete `EnumerationResult`.
-`basin_probe` hands it the equilibria it is given.  `sandwich_test`
-hands it `equilibria.enumerate_equilibria` when that runs no Newton
-search (n = 2, or `equilibria.coexistence_excluded` holds), and
-otherwise the healthy state and the boundary equilibria of the system's
-`equilibria.Analysis`.
-A batch locates every start once before its first step, and a start
-held there retires at t = 0 with a one-record trajectory: on case2 the
-corners (1, 0) and (0, 1) and the bounds beside the saddle bracket both
-sandwich corners, so neither takes a step.  `integrate` returns whole
-trajectories, so it never retires.
+`basin_probe` hands it the equilibria it is given, and `sandwich_test`
+hands it `equilibria.enumerate_equilibria` run with no Newton seeds.
+Retirement has one path, the stop rule, which the stepper consults at
+t = 0 as well as at every later record: a start held at t = 0 retires
+there with a one-record trajectory.  On case2 the corners (1, 0) and
+(0, 1) and the bounds beside the saddle bracket both sandwich corners,
+so neither takes a step.  `integrate` returns whole trajectories, so it
+never retires.
 """
 
 from __future__ import annotations
@@ -72,7 +70,7 @@ import numpy as np
 
 from . import equilibria, model, speclin
 from .exceptions import DomainError, IntegrationError
-from .equilibria import Analysis, EnumerationResult, Equilibrium
+from .equilibria import Analysis, EnumerationResult
 from .model import BivirusSystem, State
 
 log = logging.getLogger(__name__)
@@ -168,11 +166,12 @@ def _integrate_flat(f, y0, t0, t_end, rtol, atol, record_interval,
 
     guard(t, y, rows) checks the accepted states y of the active rows
     `rows` and raises to abort the run; it never changes them.
-    stop_check(t, rows, times, records, fy) is consulted at every record
-    after t0, the final one included, with the record times, the recorded
+    stop_check(t, rows, times, records, fy) is consulted at every record,
+    t0 and the final one included, with the record times, the recorded
     (m, d) arrays so far and the slopes fy of the active rows at the
     record, and returns a boolean mask over `rows`; a row it stops is
-    frozen with its own records and leaves the batch.
+    frozen with its own records and leaves the batch.  A row stopped at
+    t0 has one record, and when every row stops there no step is taken.
 
     Returns one (times, states, stopped) triple per row.
     """
@@ -188,6 +187,10 @@ def _integrate_flat(f, y0, t0, t_end, rtol, atol, record_interval,
     counts = np.zeros(m, dtype=int)
     rows = np.arange(m)      # the active rows; y holds their states
     fy = f(y)                # and fy their slopes
+    if stop_check is not None:
+        stop = stop_check(t, rows, times, records, fy)
+        counts[stop] = 1
+        rows, y, fy = rows[~stop], y[~stop], fy[~stop]
     span = t_end - t0
     rec = min(record_interval, span)
     next_rec = t0 + rec
@@ -298,11 +301,9 @@ def _integrate_starts(sys, starts, t_end, *, record_interval=1.0,
     """One lockstep batch of `integrate` runs from t = 0, one Trajectory
     per start.  A row that the stop rule or `certificate` (see
     `_stop_rule`) stops is converged; any other row is budget_exhausted.
-
-    `certificate` locates every start once before the first step.  A
-    start it holds there is certified at once: it comes back as a
-    converged trajectory of one record, t = 0, and only the other starts
-    go to the stepper, which does not run at all when none are left.
+    The rule is consulted at t = 0 too, so a start the certificate holds
+    there comes back as a converged trajectory of one record, and the
+    stepper takes no step when every start is held.
 
     The drift window is 10% of t_end, capped at 20 time units but never
     shorter than two record steps.  With stop_tol None the rule judges
@@ -312,38 +313,19 @@ def _integrate_starts(sys, starts, t_end, *, record_interval=1.0,
               for s in starts]
     for s in starts:
         model.require_in_feasible_set(s)
-    if t_end <= 0.0:
-        raise DomainError("t_end must exceed t0")
-    f = model.field(sys)
     window = max(min(20.0, 0.1 * t_end), 2.0 * min(record_interval, t_end))
     start = 0.0
     if stop_tol is None:   # judge the stepper's last record only
         stop_tol, start = DEFAULT_STOP_TOL, t_end - 1e-12 * max(1.0, t_end)
-    y0 = np.array([s.as_vector() for s in starts])
-    held = np.full(len(y0), -1)
-    if certificate is not None and not start:
-        held = certificate.locate(y0)
-        certificate.certify(held[held >= 0], y0[None, held >= 0])
-    trajs = [Trajectory(np.zeros(1), y[None], Outcome("converged"))
-             for y in y0]
-    live = np.flatnonzero(held < 0)
-    if not live.size:
-        return trajs
-    stop_check = _stop_rule(stop_tol, _rate_scale(sys), window, certificate,
-                            start)
-    try:
-        runs = _integrate_flat(f, y0[live], 0.0, t_end, RTOL, ATOL,
-                               record_interval,
-                               guard=_containment_guard(sys.n),
-                               stop_check=stop_check)
-    except IntegrationError as err:   # name the start in `starts`
-        r = int(live[err.start])
-        raise IntegrationError(f"start {r}: {str(err).partition(': ')[2]}",
-                               t=err.t, state=err.state, start=r) from None
-    for i, (times, states, stopped) in zip(live, runs):
-        trajs[i] = Trajectory(times, states, Outcome(
-            "converged" if stopped else "budget_exhausted"))
-    return trajs
+    runs = _integrate_flat(model.field(sys),
+                           [s.as_vector() for s in starts], 0.0, t_end,
+                           RTOL, ATOL, record_interval,
+                           guard=_containment_guard(sys.n),
+                           stop_check=_stop_rule(stop_tol, _rate_scale(sys),
+                                                 window, certificate, start))
+    return [Trajectory(times, states, Outcome(
+        "converged" if stopped else "budget_exhausted"))
+        for times, states, stopped in runs]
 
 
 def _validated(sys):
@@ -459,14 +441,13 @@ def sandwich_test(sys: BivirusSystem | Analysis,
     `equilibria.Analysis`.
 
     Both corners run as one lockstep batch of the `integrate` stepper,
-    retiring on the certificate of `_AttractionBalls`.  When the
-    enumeration runs no Newton search (n = 2, or
-    `equilibria.coexistence_excluded` holds), the certificate is built on
-    `equilibria.enumerate_equilibria`, with its order bounds when that
-    list is complete; otherwise on the healthy state and the boundary
-    equilibria of the analysis, and `find_coexistence_newton` is never
-    run.  A corner held by the certificate, before the first step or at
-    a record mark, retires there, and its limit is that equilibrium's
+    retiring on the certificate of `_AttractionBalls`, built on
+    `equilibria.enumerate_equilibria` with no Newton seeds: the complete
+    list, with its order bounds, at n = 2 or where
+    `equilibria.coexistence_excluded` holds, and otherwise the healthy
+    state and the boundary equilibria alone, since the search never
+    runs.  A corner held by the certificate, at t = 0 or at a record
+    mark, retires there, and its limit is that equilibrium's
     coordinates.  Any other corner runs to its stop rule.  A corner run
     that fails to converge is retried once from the corner perturbed by
     a deterministic jitter of magnitude eta/10 (alternating sign
@@ -481,16 +462,7 @@ def sandwich_test(sys: BivirusSystem | Analysis,
     a = equilibria.analysis(sys)
     sys, n = a.system, a.system.n
     corners = _corner_states(n, eta)
-    if n == 2 or equilibria.coexistence_excluded(a):
-        centres = equilibria.enumerate_equilibria(a)
-        named = [(e.kind, e.state) for e in centres]
-    else:
-        zero = np.zeros(n)
-        x1bar, x2bar = a.bars
-        named = [(equilibria.KIND_HEALTHY, State.zero(n)),
-                 (equilibria.KIND_BOUNDARY_1, State(x1bar, zero)),
-                 (equilibria.KIND_BOUNDARY_2, State(zero, x2bar))]
-        centres = [s for _, s in named]
+    centres = equilibria.enumerate_equilibria(a, newton_seeds=[])
     balls = _AttractionBalls(sys, centres, stop_tol)
     kw = dict(stop_tol=stop_tol, certificate=balls)
     trajs = _integrate_starts(sys, corners, t_end, **kw)
@@ -511,10 +483,11 @@ def sandwich_test(sys: BivirusSystem | Analysis,
     limits, notes = [], []
     for tag, tr, k, ball in zip("AB", trajs, held, in_ball):
         if k >= 0:
-            kind, limit = named[balls.owners[k]]
-            limits.append(limit)
-            how = (f"retired in the ball of {kind}" if ball else
-                   f"retired between two certified points bound for {kind}")
+            e = centres.equilibria[balls.owners[k]]
+            limits.append(e.state)
+            how = (f"retired in the ball of {e.kind}" if ball else
+                   f"retired between two certified points bound for "
+                   f"{e.kind}")
         elif tr.outcome.kind == "converged":
             limits.append(tr.final_state)
             how = "stopped by the stop rule"
@@ -604,15 +577,9 @@ def nearest_equilibrium(vectors, equilibria):
                     LABEL_UNRESOLVED)
 
 
-def _state_of(centre):
-    """The State of centre: a State, or an Equilibrium's state."""
-    return centre.state if isinstance(centre, Equilibrium) else centre
-
-
 def _attraction_ball(sys, centre, stop_tol):
-    """(v, radius) of a certified ball of attraction around `centre` (a
-    State, or an Equilibrium standing for its state), or None when the
-    certificate fails there.
+    """(v, radius) of a certified ball of attraction around the state of
+    `centre`, an Equilibrium, or None when the certificate fails there.
 
     The certificate is its own classification.  M = P J(centre) P is
     Metzler, and v = (-M)^-1 1 > 0 gives M v = -1 < 0, so M is Hurwitz.
@@ -628,7 +595,7 @@ def _attraction_ball(sys, centre, stop_tol):
     Only centres whose residual on sys is at most stop_tol get a ball;
     with stop_tol None the caller has made that check.
     """
-    s = _state_of(centre)
+    s = centre.state
     if stop_tol is not None and model.residual(sys, s) > stop_tol:
         return None
     n = sys.n
@@ -676,9 +643,10 @@ def _merge_lowest(lowest, points):
 
 class _AttractionBalls:
     """The retirement certificate of a batch: the certified balls of
-    attraction (`_attraction_ball`) around those of `centres` (States or
-    Equilibria) that get one, and the certified points bound for each;
-    ball k surrounds centres[owners[k]].
+    attraction (`_attraction_ball`) around those of `centres`, a list of
+    Equilibria or an `EnumerationResult`, that get one, and the certified
+    points bound for each; ball k surrounds centres[owners[k]], so a
+    caller reads the kind and the state a run retired to off that entry.
 
     A state within half a ball's radius of its centre is certified to
     converge to that centre; the other half of the radius absorbs the
@@ -702,8 +670,7 @@ class _AttractionBalls:
         centres = list(centres)
         d = 2 * sys.n
         self._f = model.field(sys)
-        vectors = np.array([_state_of(e).as_vector()
-                            for e in centres]).reshape(-1, d)
+        vectors = np.array([e.coordinates() for e in centres]).reshape(-1, d)
         #: whether each centre's residual on sys is at most stop_tol
         self.fresh = np.abs(self._f(vectors)).max(axis=1) <= stop_tol
         self.owners, inv_v, radii = [], [], []
@@ -792,7 +759,7 @@ def basin_probe(sys: BivirusSystem | Analysis, equilibria,
     may differ from a lone `integrate` run by about `RTOL`.  Around each
     entry the transformed Jacobian may certify a ball of attraction (see
     `_attraction_ball`; the entries that get one are classed stable).  A
-    start found before the first step or at a record mark within half
+    start found at t = 0 or at a later record mark within half
     that radius has its limit certified, leaves the batch there and
     reports that equilibrium as its final state; every state recorded on
     its path is then certified to flow to the same equilibrium.  A start

@@ -230,8 +230,13 @@ class TestMalformedNumbers:
         ("analyze", "B1", [[1.6, 1], [1]]),
         ("simulate", "initial_conditions",
          {"x1": [0.1, "a"], "x2": [0.2, 0.2]}),
+        ("simulate", "initial_conditions",
+         {"x1": [0.1, 0.2], "x2": [0.2]}),
+        ("simulate", "initial_conditions",
+         {"x1": [[0.1], [0.2]], "x2": [0.2, 0.2]}),
         ("sandwich", "t_end", "long"),
-    ], ids=["B1_entry", "B1_ragged", "x1_entry", "t_end"])
+    ], ids=["B1_entry", "B1_ragged", "x1_entry", "x2_short", "x1_nested",
+            "t_end"])
     def test_exits_2_naming_the_file(self, tmp_path, capsys, command, where,
                                      value):
         doc = _malformed(case_config("case2"), where, value)

@@ -276,8 +276,8 @@ class TestMidpointSeed:
                 a = equilibria.analysis(random_supercritical_system(rng, n))
                 x1bar, x2bar = a.bars
                 mid = np.concatenate([x1bar, x2bar]) / 2.0
-                assert any(np.array_equal(s.as_vector(), mid)
-                           for s in equilibria.default_seed_grid(a))
+                assert any(np.array_equal(seed, mid)
+                           for seed in equilibria.default_seed_grid(a))
                 J = model.jacobian(a.ns, mid)
                 u = np.concatenate([x1bar, -x2bar])
                 assert (np.abs(J @ u).max()
@@ -351,7 +351,7 @@ def _newton_roots(sys, retire):
     roots = []
     for seed in equilibria.default_seed_grid(sys):
         (v,), (rnorm,), (in_ball,) = equilibria._newton_root(
-            f, jac, seed.as_vector()[None], lambda v: 1e-10, known)
+            f, jac, seed[None], lambda v: 1e-10, known)
         if in_ball or rnorm > 1e-10:
             continue
         if known is not None:
@@ -424,8 +424,7 @@ class TestLockstepNewton:
         for sys in (_two_root_system(lifted=True),
                     random_supercritical_system(rng, 5)):
             a, f, jac = _newton_parts(sys)
-            starts = np.array([s.as_vector()
-                               for s in equilibria.default_seed_grid(a)])
+            starts = equilibria.default_seed_grid(a)
             v, rnorm, in_ball = equilibria._newton_root(f, jac, starts,
                                                         lambda v: 1e-10)
             assert not in_ball.any()
@@ -782,6 +781,20 @@ class TestCoexistenceExcluded:
         enum = bv.enumerate_equilibria(sys)
         assert newton_calls and not enum.complete
 
+    def test_no_seeds_no_search(self, newton_calls):
+        # An empty seed list keeps the healthy and boundary equilibria of
+        # the full enumeration and runs no search.
+        sys = _lifted_case2()
+        bare = bv.enumerate_equilibria(sys, newton_seeds=[])
+        assert not newton_calls and not bare.complete
+        full = [e for e in bv.enumerate_equilibria(sys)
+                if e.kind != "coexistence"]
+        assert newton_calls
+        assert [e.kind for e in bare] == [e.kind for e in full] == \
+            ["healthy", "boundary_virus1", "boundary_virus2"]
+        for e, f in zip(bare, full):
+            assert e.coordinates().tobytes() == f.coordinates().tobytes()
+
     def test_dominated_n3_skips_newton_and_is_complete(self, newton_calls):
         sys = random_supercritical_system(np.random.default_rng(5), 3)
         assert bv.sufficient_conditions(sys).profile_dominance != "inconclusive"
@@ -850,8 +863,6 @@ def test_seed_grid_matches_the_loop(sys):
     loop = [State(p * x1bar, q * x2bar).as_vector()
             for p in equilibria.SEED_LEVELS for q in equilibria.SEED_LEVELS
             if model.in_feasible_set(State(p * x1bar, q * x2bar), 0.0)]
-    grid = equilibria._seed_array(a)
+    grid = equilibria.default_seed_grid(a)
     assert 0 < len(loop) < len(equilibria.SEED_LEVELS) ** 2
     assert grid.tobytes() == np.array(loop).tobytes()
-    assert [s.as_vector().tobytes() for s in equilibria.default_seed_grid(a)] \
-        == [v.tobytes() for v in loop]

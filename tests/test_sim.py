@@ -151,7 +151,9 @@ class TestDetectConvergence:
 
         _integrate_flat(lambda y: -y, np.ones((1, 1)), 0.0, 50.5, 1e-9,
                         1e-12, 1.0, stop_check=spy)
-        assert seen[-1] == pytest.approx(50.5) and len(seen) == 51
+        # t0, the 50 marks 1 ... 50 and the off-grid t_end
+        assert seen[0] == 0.0 and seen[-1] == pytest.approx(50.5)
+        assert len(seen) == 52
         sys = CASES["case3"].system()
         (eq,) = bv.enumerate_equilibria(sys).of_kind("coexistence")
         traj = bv.integrate(sys, eq.state, 50.5, stop_tol=None)
@@ -401,7 +403,9 @@ class TestSandwichRetirement:
         for name in ("case1", "case2", "case3", "case4"):
             sys = CASES[name].system()
             assert equilibria.analysis(sys).R[0] > 1.0
-            assert sim._attraction_ball(sys, State.zero(2),
+            (healthy,) = bv.enumerate_equilibria(sys).of_kind("healthy")
+            assert np.array_equal(healthy.coordinates(), np.zeros(4))
+            assert sim._attraction_ball(sys, healthy,
                                         sim.DEFAULT_STOP_TOL) is None
 
     def test_no_ball_at_a_critical_boundary(self):
@@ -410,8 +414,13 @@ class TestSandwichRetirement:
         assert [v.verdict for v in bv.boundary_stability(a)] == \
             ["critical", "critical"]
         x1bar, x2bar = a.bars
+        enum = bv.enumerate_equilibria(a)
+        (b1,) = enum.of_kind("boundary_virus1")
+        (b2,) = enum.of_kind("boundary_virus2")
         zero = np.zeros(2)
-        for boundary in (State(x1bar, zero), State(zero, x2bar)):
+        for boundary, (x1, x2) in ((b1, (x1bar, zero)), (b2, (zero, x2bar))):
+            assert np.array_equal(boundary.coordinates(),
+                                  np.concatenate([x1, x2]))
             assert sim._attraction_ball(sys, boundary,
                                         sim.DEFAULT_STOP_TOL) is None
 
@@ -948,10 +957,10 @@ class TestRetirementAtStart:
 
 class TestFirstSameAsLast:
     def test_rows_left_keep_their_own_slopes(self):
-        # y' = -y from 2 and from 1; row 0 leaves at the first record mark,
-        # and row 1 must go on from its own slope, not row 0's.
+        # y' = -y from 2 and from 1; row 0 leaves at the first record mark
+        # after t0, and row 1 must go on from its own slope, not row 0's.
         def stop_row_0(t, rows, times, records, fy):
-            return rows == 0
+            return (rows == 0) & (t > 0.0)
 
         runs = _integrate_flat(lambda y: -y, np.array([[2.0], [1.0]]), 0.0,
                                4.0, 1e-6, 1e-9, 0.5, stop_check=stop_row_0)
