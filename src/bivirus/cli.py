@@ -121,13 +121,13 @@ def states_from_config(cfg, n, path="<config>"):
     return states
 
 
-def _setting(args, cfg, key, default, kind=float):
+def _setting(args, cfg, key, default):
     """The command's flag for key when given, else the config's value (or
-    default) as kind."""
+    default) as a float."""
     cli_val = getattr(args, key, None)
     if cli_val is not None:
         return cli_val
-    return _numeric(cfg.get(key, default), key, args.config, kind)
+    return _numeric(cfg.get(key, default), key, args.config)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +343,6 @@ def sandwich_to_dict(res: sim.SandwichResult) -> dict:
         "agree": res.agree,
         "limit_A": state_list(res.limit_A),
         "limit_B": state_list(res.limit_B),
-        "jittered": list(res.jittered),
         "retired": list(res.retired),
     }
 
@@ -353,7 +352,7 @@ def render_sandwich_text(res: sim.SandwichResult) -> str:
     lines.append(f"eta = {res.eta:g}")
     if not res.conclusive:
         lines.append("INCONCLUSIVE: a corner trajectory failed to converge "
-                     "even after the jittered retry.")
+                     "by t_end.")
         return "\n".join(lines) + "\n"
     lines.append(f"corner A limit: x1={_fmt_vec(res.limit_A.x1)} "
                  f"x2={_fmt_vec(res.limit_A.x2)}")
@@ -382,9 +381,8 @@ def cmd_sandwich(args) -> int:
     t_end = _setting(args, cfg, "t_end", sim.DEFAULT_T_END)
     tol = _setting(args, cfg, "tol", sim.DEFAULT_STOP_TOL)
     agree_tol = _setting(args, cfg, "agree_tol", 1e-6)
-    seed = _setting(args, cfg, "seed", 0, int)
     res = sim.sandwich_test(a, eta=eta, t_end=t_end, tol=agree_tol,
-                            stop_tol=tol, seed=seed)
+                            stop_tol=tol)
     if args.json:
         text = json.dumps(sandwich_to_dict(res), indent=2) + "\n"
         name = "sandwich.json"
@@ -611,8 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol": dict(type=float, help="residual/convergence tolerance"),
         "--t-end": dict(type=float, help="integration horizon"),
         "--eta": dict(type=float, help="corner inset for the sandwich test"),
-        "--seed": dict(type=int,
-                       help="seed for the deterministic jitter pattern"),
         "--json": dict(action="store_true",
                        help="emit a machine-readable JSON document"),
     }
@@ -630,8 +626,9 @@ def build_parser() -> argparse.ArgumentParser:
     command("analyze", "equilibria and stability report", "--json")
     command("simulate", "integrate configured starts to CSV",
             "--tol", "--t-end")
-    command("sandwich", "two-corner bounding simulation",
-            "--tol", "--t-end", "--eta", "--seed", "--json")
+    command("sandwich", "two-corner bounding simulation, one batch; a "
+            "corner unconverged by t_end makes it inconclusive",
+            "--tol", "--t-end", "--eta", "--json")
     command("cases", "run the bundled case studies", "--t-end", "--json",
             config=False)
     command("construct-line", "build a line-of-equilibria system")

@@ -162,12 +162,24 @@ class TestSimulate:
         assert not (out / "run_000.csv").exists()
         assert (out / "run_001.csv").exists()
 
-    def test_all_skipped_exits_2(self, tmp_path):
+    def test_all_skipped_exits_2(self, tmp_path, capsys):
         doc = case_config("case2", initial_conditions=[
             {"x1": [0.9, 0.9], "x2": [0.9, 0.9]}])
         cfg = write_config(tmp_path / "c.json", doc)
         assert cli.main(["simulate", "--config", cfg,
                          "--out", str(tmp_path / "r")]) == 2
+        # a horizon or record stride that cannot mean anything is refused,
+        # naming the setting, before any run is labelled
+        start = [{"x1": [0.4, 0.3], "x2": [0.2, 0.3]}]
+        for extra, flags, name in [({}, ["--t-end", "inf"], "t_end"),
+                                   ({"record_interval": 0}, [],
+                                    "record_interval")]:
+            cfg = write_config(tmp_path / "c.json", case_config(
+                "case2", initial_conditions=start, **extra))
+            capsys.readouterr()
+            assert cli.main(["simulate", "--config", cfg, "--out",
+                             str(tmp_path / "r2")] + flags) == 2
+            assert name in capsys.readouterr().err
 
     def test_deterministic_output(self, tmp_path):
         doc = case_config("case2", seed=3, initial_conditions=[
@@ -202,6 +214,17 @@ class TestSandwichCmd:
         cfg = write_config(tmp_path / "c.json", case_config("case1"))
         assert cli.main(["sandwich", "--config", cfg, "--t-end", "2"]) == 3
         assert "INCONCLUSIVE" in capsys.readouterr().out
+        # settings that cannot mean anything are refused, naming the
+        # setting, instead of ending inconclusive or in a false verdict
+        for name, doc, flags, setting in [
+                ("case1", {}, ["--t-end", "nan"], "t_end"),
+                ("case2", {}, ["--t-end", "nan"], "t_end"),
+                ("case2", {}, ["--tol", "-1"], "stop_tol"),
+                ("case4", {"agree_tol": -1}, [], "agreement tolerance")]:
+            cfg = write_config(tmp_path / "c.json",
+                               case_config(name, **doc))
+            assert cli.main(["sandwich", "--config", cfg] + flags) == 2
+            assert setting in capsys.readouterr().err
 
     def test_json_output(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", case_config("case3"))
@@ -209,6 +232,10 @@ class TestSandwichCmd:
         doc = json.loads(capsys.readouterr().out)
         assert doc["agree"] is True
         assert doc["conclusive"] is True
+        assert "jittered" not in doc
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["sandwich", "--config", cfg, "--seed", "1"])
+        assert exit_info.value.code == 2
 
 
 def _malformed(doc, where, value):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import logging
 import re
 
@@ -273,12 +274,22 @@ class TestSandwich:
         with pytest.raises(DomainError):
             bv.sandwich_test(CASES["case2"].system(), eta=0.5)
 
-    def test_tiny_budget_inconclusive(self):
+    def test_tiny_budget_inconclusive(self, monkeypatch):
         # case1's critical boundaries get no ball and its list is not
-        # complete, so only the stop rule can end a corner run
+        # complete, so only the stop rule can end a corner run; an
+        # unconverged corner is not run again
+        batches = []
+
+        def spy(sys, starts, *args, **kw):
+            batches.append(len(starts))
+            return _integrate_starts(sys, starts, *args, **kw)
+
+        monkeypatch.setattr(sim, "_integrate_starts", spy)
         res = bv.sandwich_test(CASES["case1"].system(), t_end=2.0)
         assert not res.conclusive
         assert len(res.traj_A.times) > 1   # partial trajectories retained
+        assert batches == [2]
+        assert res.jittered == (False, False)
 
     def test_tiny_budget_is_enough_on_a_certified_split(self):
         # case2's order bounds bracket both corners before the first step
@@ -405,8 +416,7 @@ class TestSandwichRetirement:
             assert equilibria.analysis(sys).R[0] > 1.0
             (healthy,) = bv.enumerate_equilibria(sys).of_kind("healthy")
             assert np.array_equal(healthy.coordinates(), np.zeros(4))
-            assert sim._attraction_ball(sys, healthy,
-                                        sim.DEFAULT_STOP_TOL) is None
+            assert sim._attraction_ball(sys, healthy) is None
 
     def test_no_ball_at_a_critical_boundary(self):
         sys = CASES["case1"].system()
@@ -421,8 +431,7 @@ class TestSandwichRetirement:
         for boundary, (x1, x2) in ((b1, (x1bar, zero)), (b2, (zero, x2bar))):
             assert np.array_equal(boundary.coordinates(),
                                   np.concatenate([x1, x2]))
-            assert sim._attraction_ball(sys, boundary,
-                                        sim.DEFAULT_STOP_TOL) is None
+            assert sim._attraction_ball(sys, boundary) is None
 
 
 class TestBasinProbe:
@@ -615,7 +624,7 @@ class TestAttractionBall:
         # rho is 0.99 of the retirement radius (half the certified one) and
         # of the certified radius itself.
         sys, e = self._equilibrium(name, kind)
-        v, radius = sim._attraction_ball(sys, e, sim.DEFAULT_STOP_TOL)
+        v, radius = sim._attraction_ball(sys, e)
         centre = e.coordinates()
         absent = centre == 0.0       # the absent virus at a boundary point
         runs = 0
@@ -636,14 +645,13 @@ class TestAttractionBall:
     def test_no_ball_without_a_certificate(self):
         sys2 = CASES["case2"].system()
         enum = bv.enumerate_equilibria(sys2)
-        tol = sim.DEFAULT_STOP_TOL
         for kind in ("healthy", "coexistence"):
             (e,) = enum.of_kind(kind)
             assert e.spectrum_class == "unstable"
-            assert sim._attraction_ball(sys2, e, tol) is None
+            assert sim._attraction_ball(sys2, e) is None
             # the transformed Jacobian refuses it even when labelled stable
             fake = dataclasses.replace(e, spectrum_class="stable")
-            assert sim._attraction_ball(sys2, fake, tol) is None
+            assert sim._attraction_ball(sys2, fake) is None
         # case1's line of equilibria: M is singular at each of its points,
         # the two ends included
         sys1 = CASES["case1"].system()
@@ -655,15 +663,16 @@ class TestAttractionBall:
                 ends[0], state=State(alpha * z, (1.0 - alpha) * z),
                 spectrum_class="stable")
             assert bv.residual(sys1, point.state) <= 1e-12
-            assert sim._attraction_ball(sys1, point, tol) is None
-        assert sim._attraction_ball(sys1, ends[0], tol) is None
+            assert sim._attraction_ball(sys1, point) is None
+        assert sim._attraction_ball(sys1, ends[0]) is None
 
     def test_no_ball_for_a_stale_equilibrium(self):
         # a stable entry whose residual on the probed system is above
         # stop_tol (here: case2's point handed to a perturbed case2)
         _, e = self._equilibrium("case2", "boundary_virus1")
         other = BivirusSystem(B1 * 1.001, EYE, CASES["case2"].B2, EYE)
-        assert sim._attraction_ball(other, e, sim.DEFAULT_STOP_TOL) is None
+        balls = sim._AttractionBalls(other, [e], sim.DEFAULT_STOP_TOL)
+        assert not balls.fresh.any() and len(balls.radii) == 0
 
     @pytest.mark.parametrize("name", ["case2", "case3", "case4"])
     def test_probe_labels_match_lone_runs(self, name, lone_labels, caplog):
@@ -694,8 +703,8 @@ class TestAttractionBall:
         certified = sim._attraction_ball
         reached = []
 
-        def inflated(sys_, e, stop_tol):
-            ball = certified(sys_, e, stop_tol)
+        def inflated(sys_, e):
+            ball = certified(sys_, e)
             if ball is None:
                 return None
             v, radius = ball
@@ -950,9 +959,24 @@ class TestRetirementAtStart:
         assert tr.times[-1] == pytest.approx(5.0)
 
     def test_nonpositive_horizon_refused(self):
+        # and every other run setting that cannot mean anything
         sys = CASES["case2"].system()
-        with pytest.raises(DomainError, match="t_end"):
-            bv.sandwich_test(sys, t_end=0.0)
+        corner = sim._corner_states(2, sim.DEFAULT_ETA)[0]
+        sandwich = functools.partial(bv.sandwich_test, sys)
+        integrate = functools.partial(bv.integrate, sys, corner)
+        for run, kw, name in [
+                (sandwich, dict(t_end=0.0), "t_end"),
+                (sandwich, dict(t_end=np.nan), "t_end"),
+                (integrate, dict(t_end=np.inf), "t_end"),
+                (integrate, dict(record_interval=0.0), "record_interval"),
+                (integrate, dict(record_interval=np.nan), "record_interval"),
+                (integrate, dict(record_interval=np.inf), "record_interval"),
+                (sandwich, dict(stop_tol=-1.0), "stop_tol"),
+                (integrate, dict(stop_tol=np.nan), "stop_tol"),
+                (sandwich, dict(tol=-1.0), "agreement tolerance"),
+                (sandwich, dict(tol=np.nan), "agreement tolerance")]:
+            with pytest.raises(DomainError, match=name):
+                run(**kw)
 
 
 class TestFirstSameAsLast:
