@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys as _sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -128,6 +129,18 @@ def _setting(args, cfg, key, default):
     if cli_val is not None:
         return cli_val
     return _numeric(cfg.get(key, default), key, args.config)
+
+
+def _tolerance(args, cfg, key, default):
+    """`_setting` for a tolerance, which must be finite and >= 0; any other
+    value is refused (DomainError) naming the flag or config key set."""
+    value = _setting(args, cfg, key, default)
+    if not 0.0 <= value < math.inf:
+        where = (f"--{key.replace('_', '-')}"
+                 if getattr(args, key, None) is not None
+                 else f"{args.config}: {key}")
+        raise DomainError(f"{where} must be finite and >= 0, got {value:g}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +301,7 @@ def cmd_simulate(args) -> int:
     if args.out is None:
         raise ConfigError("simulate requires --out for the CSV files")
     t_end = _setting(args, cfg, "t_end", sim.DEFAULT_T_END)
-    tol = _setting(args, cfg, "tol", sim.DEFAULT_STOP_TOL)
+    tol = _tolerance(args, cfg, "tol", sim.DEFAULT_STOP_TOL)
     record = _setting(args, cfg, "record_interval", 1.0)
     eq_list = equilibria.enumerate_equilibria(a).equilibria
     # Repeated kinds are told apart by a suffix: kind, kind_2, ...
@@ -299,8 +312,6 @@ def cmd_simulate(args) -> int:
         eq_labels.append(e.kind if counts[e.kind] == 1
                          else f"{e.kind}_{counts[e.kind]}")
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     summary = ["run,file,label"]
     written = 0
     for i, s0 in enumerate(starts):
@@ -312,8 +323,9 @@ def cmd_simulate(args) -> int:
             continue
         traj = sim.integrate(a, s0, t_end, record_interval=record,
                              stop_tol=tol)
-        (out / name).write_text(trajectory_to_csv(traj),
-                                encoding="utf-8", newline="\n")
+        # the directory is made with the first file, so a run refused for
+        # its settings leaves nothing behind
+        _write_text(args.out, name, trajectory_to_csv(traj))
         if traj.outcome.kind == "converged":
             (k,) = sim.nearest_equilibrium(traj.final_vector, eq_list)
             label = eq_labels[k] if k >= 0 else "unresolved"
@@ -321,12 +333,11 @@ def cmd_simulate(args) -> int:
             label = traj.outcome.kind
         summary.append(f"{i},{name},{label}")
         written += 1
-    (out / "summary.csv").write_text("\n".join(summary) + "\n",
-                                     encoding="utf-8", newline="\n")
+    _write_text(args.out, "summary.csv", "\n".join(summary) + "\n")
     if written == 0:
         print("error: every initial condition was skipped", file=_sys.stderr)
         return EXIT_CONFIG
-    print(f"wrote {written} trajectory file(s) to {out}")
+    print(f"wrote {written} trajectory file(s) to {Path(args.out)}")
     return EXIT_OK
 
 
@@ -379,8 +390,8 @@ def cmd_sandwich(args) -> int:
     a = system_from_config(cfg, args.config)
     eta = _setting(args, cfg, "eta", sim.DEFAULT_ETA)
     t_end = _setting(args, cfg, "t_end", sim.DEFAULT_T_END)
-    tol = _setting(args, cfg, "tol", sim.DEFAULT_STOP_TOL)
-    agree_tol = _setting(args, cfg, "agree_tol", 1e-6)
+    tol = _tolerance(args, cfg, "tol", sim.DEFAULT_STOP_TOL)
+    agree_tol = _tolerance(args, cfg, "agree_tol", 1e-6)
     res = sim.sandwich_test(a, eta=eta, t_end=t_end, tol=agree_tol,
                             stop_tol=tol)
     if args.json:

@@ -10,9 +10,13 @@ equilibrium must sit inside the hyperrectangle spanned by the two limits.
 Every run goes through one Dormand-Prince 5(4) stepper that advances a
 batch of starts in lockstep: `integrate` is a batch of one, the sandwich
 corners are a batch of two and `basin_probe` runs its whole grid as one
-batch, all at tolerances `RTOL` and `ATOL`.  Each start keeps its own
-error test, containment check and stop rule; sharing the step size means
-a batched start may end within about `RTOL` of where a lone run would.
+batch.  `integrate` and `sandwich_test` step at tolerances `RTOL` and
+`ATOL`, since their trajectories and limits are outputs; `basin_probe`
+reports labels, so it steps at a tolerance derived from the distances
+those resolve (`PROBE_TOL_SHARE`).  Each start keeps its own error test,
+containment check and stop rule; sharing the step size means a batched
+start may end within about the stepper tolerance of where a lone run
+would.
 The exact flow keeps the feasible set invariant, so the containment check
 only watches for drift: an accepted state within `model.CONTAINMENT_TOL`
 of it passes untouched, and one beyond aborts the run.
@@ -90,7 +94,9 @@ _DP_A = [
 _DP_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
                     22 / 525, -1 / 40])
 
-#: Relative and absolute error tolerances of every bivirus run.
+#: Relative and absolute error tolerances of `integrate` and
+#: `sandwich_test`, whose trajectories and limits are outputs, and the
+#: tightest a basin probe ever steps at.
 RTOL = 1e-9
 ATOL = 1e-12
 
@@ -100,6 +106,13 @@ DEFAULT_STOP_TOL = 1e-9
 #: An integrated state counts as at an equilibrium within this infinity
 #: distance of it.
 MATCH_TOL = 1e-3
+#: The share of the smallest distance a basin probe's answers resolve
+#: (MATCH_TOL, and the infinity-norm half radius its certificate reserves
+#: for integrator error) that the probe's stepper tolerance takes.  A
+#: 5(4) pair's step count grows like tol^(-1/5) (Hairer, Norsett & Wanner,
+#: Solving ODEs I, 1993, II.4), so stepping no finer than the answers
+#: resolve saves most of the steps.
+PROBE_TOL_SHARE = 1e-3
 #: How far outside the sandwich box a state may lie and still count as
 #: inside it (`hyperrectangle_contains`).
 BOX_SLACK = 1e-6
@@ -302,9 +315,11 @@ def _stop_rule(stop_tol, rate, window, certificate=None, start=0.0):
 
 
 def _integrate_starts(sys, starts, t_end, *, record_interval=1.0,
-                      stop_tol=DEFAULT_STOP_TOL, certificate=None):
+                      stop_tol=DEFAULT_STOP_TOL, certificate=None,
+                      rtol=RTOL):
     """One lockstep batch of `integrate` runs from t = 0, one Trajectory
-    per start.  A row that the stop rule or `certificate` (see
+    per start, stepped at the relative tolerance rtol and the absolute
+    one rtol * ATOL / RTOL.  A row that the stop rule or `certificate` (see
     `_stop_rule`) stops is converged; any other row is budget_exhausted.
     The rule is consulted at t = 0 too, so a start the certificate holds
     there comes back as a converged trajectory of one record, and the
@@ -327,7 +342,7 @@ def _integrate_starts(sys, starts, t_end, *, record_interval=1.0,
         stop_tol, start = DEFAULT_STOP_TOL, t_end - 1e-12 * max(1.0, t_end)
     runs = _integrate_flat(model.field(sys),
                            [s.as_vector() for s in starts], 0.0, t_end,
-                           RTOL, ATOL, record_interval,
+                           rtol, rtol * ATOL / RTOL, record_interval,
                            guard=_containment_guard(sys.n),
                            stop_check=_stop_rule(stop_tol, _rate_scale(sys),
                                                  window, certificate, start))
@@ -648,15 +663,16 @@ class _AttractionBalls:
 
     A state within half a ball's radius of its centre is certified to
     converge to that centre; the other half of the radius absorbs the
-    integrator's error.  A run that retires to ball k hands its recorded
-    path to `certify`, and every point on it flows to that centre;
-    `bound_orders` files the order bounds of a complete list as well.  A
-    state y with z_lo <=K y <=K z_hi for two certified points of one ball
-    stays between their flows (Kamke's order preservation), so it
-    converges to that centre as well.  Each ball keeps only the
-    <=K-minimal certified points (`floors`) and, negated, the <=K-maximal
-    ones (`ceilings`): they bracket exactly the states that all of them
-    do.  One field closure serves every residual and sign check the
+    integrator's error, so `basin_probe` steps no coarser than a share of
+    the smallest half radius in the infinity norm.  A run that retires to
+    ball k hands its recorded path to `certify`, and every point on it
+    flows to that centre; `bound_orders` files the order bounds of a
+    complete list as well.  A state y with z_lo <=K y <=K z_hi for two
+    certified points of one ball stays between their flows (Kamke's order
+    preservation), so it converges to that centre as well.  Each ball keeps
+    only the <=K-minimal certified points (`floors`) and, negated, the
+    <=K-maximal ones (`ceilings`): they bracket exactly the states that all
+    of them do.  One field closure serves every residual and sign check the
     certificate makes.
 
     When `centres` is a complete `EnumerationResult`, the constructor
@@ -753,20 +769,23 @@ def basin_probe(sys: BivirusSystem | Analysis, equilibria,
     Equilibrium); run the enumeration first so the labels mean something.
     All feasible, strictly interior starts run as one lockstep batch of the
     `integrate` stepper up to DEFAULT_T_END, recording every 5 time units;
-    each start keeps its own stop rule at DEFAULT_STOP_TOL, and its limit
-    may differ from a lone `integrate` run by about `RTOL`.  Around each
-    entry the transformed Jacobian may certify a ball of attraction (see
-    `_attraction_ball`; the entries that get one are classed stable).  A
-    start found at t = 0 or at a later record mark within half
-    that radius has its limit certified, leaves the batch there and
-    reports that equilibrium as its final state; every state recorded on
-    its path is then certified to flow to the same equilibrium.  A start
-    found there between two such points, z_lo <=K y <=K z_hi, retires
-    too: the flow preserves the order (Kamke), so its run stays between
-    two runs that converge to that equilibrium and converges there as
-    well.  This rests on the same numerical evidence as the ball itself,
-    a recorded run that entered a half ball, so it is exactly as
-    rigorous.
+    each start keeps its own stop rule at DEFAULT_STOP_TOL.  The labels
+    resolve only MATCH_TOL and the infinity-norm half radius the balls
+    below reserve for integrator error, so the batch steps at
+    PROBE_TOL_SHARE of the smaller of the two (never below `RTOL`, with the
+    absolute tolerance scaled alike), and a run stopped by the rule may
+    differ from a lone `integrate` run by about its stepper tolerance.
+    Around each entry the transformed Jacobian may certify a ball of
+    attraction (see `_attraction_ball`; the entries that get one are
+    classed stable).  A start found at t = 0 or at a later record mark
+    within half that radius has its limit certified, leaves the batch there
+    and reports that equilibrium as its final state; every state recorded
+    on its path is then certified to flow to the same equilibrium.  A start
+    found there between two such points, z_lo <=K y <=K z_hi, retires too:
+    the flow preserves the order (Kamke), so its run stays between two runs
+    that converge to that equilibrium and converges there as well.  This
+    rests on the same numerical evidence as the ball itself, a recorded run
+    that entered a half ball, so it is exactly as rigorous.
 
     When `equilibria` is a `complete` `EnumerationResult`, order bounds
     join those points before the batch starts: beside an unstable
@@ -777,8 +796,8 @@ def basin_probe(sys: BivirusSystem | Analysis, equilibria,
     reine angew. Math. 383, 1988); see `equilibria.order_bounds`.
     A bare list, or a result that is not complete, gets none.  The `basin
     probe:` DEBUG line counts the two kinds of retirement apart (order
-    bounds bracket like path points), the order bounds filed and the time
-    of the last retirement.
+    bounds bracket like path points), the order bounds filed, the time
+    of the last retirement and the stepper tolerance.
     """
     sys = _validated(sys)
     grid = grid or GridSpec()
@@ -798,11 +817,16 @@ def basin_probe(sys: BivirusSystem | Analysis, equilibria,
                 cells.append((i, j))
                 starts.append(s0)
     balls = _AttractionBalls(sys, equilibria, DEFAULT_STOP_TOL)
+    # the smallest infinity-norm half radius of a ball; none counts as inf
+    half = float((0.5 * balls.radii / balls.inv_v.max(axis=1)).min(
+        initial=np.inf))
+    rtol = max(RTOL, PROBE_TOL_SHARE * min(MATCH_TOL, half))
     by_ball = by_path = by_rule = 0
     last = "none"
     if starts:
         trajs = _integrate_starts(sys, starts, DEFAULT_T_END,
-                                  record_interval=5.0, certificate=balls)
+                                  record_interval=5.0, certificate=balls,
+                                  rtol=rtol)
         ends = np.array([traj.final_vector for traj in trajs])
         held = balls.locate(ends)
         retired = held >= 0
@@ -822,11 +846,12 @@ def basin_probe(sys: BivirusSystem | Analysis, equilibria,
     log.debug("basin probe: %d starts retired in a ball, %d between two "
               "certified paths, %d stopped by the stop rule, %d unresolved, "
               "%d order bounds; last retirement at t = %s; %d balls, radii "
-              "%.3g to %.3g in their weighted norms",
+              "%.3g to %.3g in their weighted norms; stepper rtol %.3g "
+              "(smallest reserved half radius %.3g)",
               by_ball, by_path, by_rule,
               int(np.count_nonzero(labels == LABEL_UNRESOLVED)),
               balls.bounds, last, len(balls.radii),
               balls.radii.min(initial=np.inf),
-              balls.radii.max(initial=0.0))
+              balls.radii.max(initial=0.0), rtol, half)
     return ProbeResult(labels=labels, final_states=finals,
                        a_values=a_vals, b_values=b_vals, legend=legend)

@@ -168,18 +168,23 @@ class TestSimulate:
         cfg = write_config(tmp_path / "c.json", doc)
         assert cli.main(["simulate", "--config", cfg,
                          "--out", str(tmp_path / "r")]) == 2
-        # a horizon or record stride that cannot mean anything is refused,
-        # naming the setting, before any run is labelled
+        # a horizon, record stride or tolerance that cannot mean anything
+        # is refused, naming the setting, before any run is labelled, and
+        # leaves no output directory behind
         start = [{"x1": [0.4, 0.3], "x2": [0.2, 0.3]}]
         for extra, flags, name in [({}, ["--t-end", "inf"], "t_end"),
+                                   ({}, ["--t-end", "nan"], "t_end"),
                                    ({"record_interval": 0}, [],
-                                    "record_interval")]:
+                                    "record_interval"),
+                                   ({}, ["--tol", "-1"], "--tol must"),
+                                   ({"tol": -1}, [], "c.json: tol must")]:
             cfg = write_config(tmp_path / "c.json", case_config(
                 "case2", initial_conditions=start, **extra))
             capsys.readouterr()
             assert cli.main(["simulate", "--config", cfg, "--out",
                              str(tmp_path / "r2")] + flags) == 2
             assert name in capsys.readouterr().err
+            assert not (tmp_path / "r2").exists()
 
     def test_deterministic_output(self, tmp_path):
         doc = case_config("case2", seed=3, initial_conditions=[
@@ -219,8 +224,12 @@ class TestSandwichCmd:
         for name, doc, flags, setting in [
                 ("case1", {}, ["--t-end", "nan"], "t_end"),
                 ("case2", {}, ["--t-end", "nan"], "t_end"),
-                ("case2", {}, ["--tol", "-1"], "stop_tol"),
-                ("case4", {"agree_tol": -1}, [], "agreement tolerance")]:
+                ("case2", {}, ["--tol", "-1"], "--tol must be finite and "
+                 ">= 0, got -1"),
+                ("case2", {"tol": -1}, [], "c.json: tol must be finite "
+                 "and >= 0, got -1"),
+                ("case4", {"agree_tol": -1}, [], "c.json: agree_tol must "
+                 "be finite and >= 0, got -1")]:
             cfg = write_config(tmp_path / "c.json",
                                case_config(name, **doc))
             assert cli.main(["sandwich", "--config", cfg] + flags) == 2

@@ -1027,3 +1027,75 @@ class TestFirstSameAsLast:
         assert all(tr.outcome.kind == "converged" for tr in trajs)
         assert count["steps"] > 0
         assert count["in_flat"] == 1 + 6 * count["steps"]
+
+
+class TestProbeStepperTolerance:
+    """The basin probe steps at PROBE_TOL_SHARE of the smaller of MATCH_TOL
+    and its certificate's smallest reserved half radius, never below RTOL;
+    `integrate` and `sandwich_test` keep RTOL and ATOL."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """The (rtol, atol) of every `_integrate_flat` call, in order."""
+        calls, flat = [], sim._integrate_flat
+
+        def spied(f, y0, t0, t_end, rtol, atol, *args, **kw):
+            calls.append((rtol, atol))
+            return flat(f, y0, t0, t_end, rtol, atol, *args, **kw)
+
+        monkeypatch.setattr(sim, "_integrate_flat", spied)
+        return calls
+
+    @pytest.mark.parametrize("name,complete", [
+        ("case2", True), ("case3", True), ("case4", True), ("case2", False)])
+    def test_labels_match_a_probe_at_rtol(self, name, complete, monkeypatch,
+                                          caplog):
+        sys = CASES[name].system()
+        enum = bv.enumerate_equilibria(sys)
+        eqs = enum if complete else enum.equilibria
+        grid = sim.GridSpec(n_a=20, n_b=20)
+        with caplog.at_level(logging.DEBUG, logger="bivirus.sim"):
+            fast = bv.basin_probe(sys, eqs, grid)
+        (line,) = [r.getMessage() for r in caplog.records]
+        rtol = float(re.search(r"; stepper rtol ([0-9.e+-]+) \(smallest "
+                               r"reserved half radius", line).group(1))
+        assert rtol > 100.0 * sim.RTOL
+        monkeypatch.setattr(sim, "PROBE_TOL_SHARE", 0.0)
+        slow = bv.basin_probe(sys, eqs, grid)
+        assert (slow.labels >= 0).sum() == 229
+        np.testing.assert_array_equal(fast.labels, slow.labels)
+        # every start retires, so each final state is its equilibrium
+        assert np.array_equal(fast.final_states, slow.final_states,
+                              equal_nan=True)
+
+    def test_probe_steps_at_the_derived_tolerance(self, monkeypatch):
+        sys = CASES["case2"].system()
+        calls = self._spy(monkeypatch)
+        bv.basin_probe(sys, bv.enumerate_equilibria(sys),
+                       sim.GridSpec(n_a=4, n_b=4))
+        bv.integrate(sys, State(0.3 * np.ones(2), 0.3 * np.ones(2)), 10.0)
+        bv.sandwich_test(sys)
+        # case2's balls reserve more than MATCH_TOL, so MATCH_TOL decides
+        rtol = sim.PROBE_TOL_SHARE * sim.MATCH_TOL
+        assert rtol == 1e-6
+        assert calls == [(rtol, rtol * sim.ATOL / sim.RTOL),
+                         (sim.RTOL, sim.ATOL), (sim.RTOL, sim.ATOL)]
+
+    def test_floors_at_rtol_for_a_tiny_ball(self, monkeypatch, caplog):
+        sys = CASES["case2"].system()
+        certified = sim._attraction_ball
+
+        def tiny(sys_, e):
+            ball = certified(sys_, e)
+            return None if ball is None else (ball[0], 1e-7)
+
+        monkeypatch.setattr(sim, "_attraction_ball", tiny)
+        calls = self._spy(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="bivirus.sim"):
+            bv.basin_probe(sys, bv.enumerate_equilibria(sys),
+                           sim.GridSpec(n_a=3, n_b=3))
+        assert calls == [(sim.RTOL, sim.ATOL)]
+        (line,) = [r.getMessage() for r in caplog.records]
+        half = float(re.search(r"reserved half radius ([0-9.e+-]+)\)$",
+                               line).group(1))
+        assert 0.0 < sim.PROBE_TOL_SHARE * half < sim.RTOL
