@@ -35,5 +35,5 @@ for name, case in bv.CASES.items():
     # Dominance tests that rule out coexistence outright, when conclusive.
     cond = bv.sufficient_conditions(system)
     print(f"    dominance: entrywise={cond.entrywise_dominance}, "
-          f"row_sums={cond.row_sum_gap}, profiles={cond.profile_dominance}")
+          f"profiles={cond.profile_dominance}")
     print()

@@ -122,24 +122,31 @@ def states_from_config(cfg, n, path="<config>"):
     return states
 
 
+#: The range each checked setting must lie in, in words and as a test.  The
+#: library refuses most of these values too, but names its own parameter.
+_RANGES = {
+    "tol": ("finite and >= 0", lambda v: 0.0 <= v < math.inf),
+    "agree_tol": ("finite and >= 0", lambda v: 0.0 <= v < math.inf),
+    "t_end": ("finite and > 0", lambda v: 0.0 < v < math.inf),
+    "record_interval": ("finite and > 0", lambda v: 0.0 < v < math.inf),
+    "eta": ("in (0, 0.1]", lambda v: 0.0 < v <= 0.1),
+}
+
+
 def _setting(args, cfg, key, default):
-    """The command's flag for key when given, else the config's value (or
-    default) as a float."""
-    cli_val = getattr(args, key, None)
-    if cli_val is not None:
-        return cli_val
-    return _numeric(cfg.get(key, default), key, args.config)
-
-
-def _tolerance(args, cfg, key, default):
-    """`_setting` for a tolerance, which must be finite and >= 0; any other
-    value is refused (DomainError) naming the flag or config key set."""
-    value = _setting(args, cfg, key, default)
-    if not 0.0 <= value < math.inf:
-        where = (f"--{key.replace('_', '-')}"
-                 if getattr(args, key, None) is not None
-                 else f"{args.config}: {key}")
-        raise DomainError(f"{where} must be finite and >= 0, got {value:g}")
+    """The command's flag for key when given, else the config's value as a
+    float, else default.  A flag or config value outside key's `_RANGES`
+    entry is refused (DomainError), naming the flag or config key set."""
+    value = getattr(args, key, None)
+    if value is not None:
+        where = f"--{key.replace('_', '-')}"
+    elif key in cfg:
+        where = f"{args.config}: {key}"
+        value = _numeric(cfg[key], key, args.config)
+    else:
+        return default
+    if key in _RANGES and not _RANGES[key][1](value):
+        raise DomainError(f"{where} must be {_RANGES[key][0]}, got {value:g}")
     return value
 
 
@@ -160,6 +167,15 @@ def _write_text(out_dir, name, text):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / name).write_text(text, encoding="utf-8", newline="\n")
+
+
+def _emit(args, stem, doc, text):
+    """Print doc as JSON under --json, else text, and write what was
+    printed to <stem>.json or <stem>.txt in --out when given."""
+    if args.json:
+        text = json.dumps(doc, indent=2) + "\n"
+    print(text, end="")
+    _write_text(args.out, f"{stem}.{'json' if args.json else 'txt'}", text)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +231,6 @@ def render_analysis_text(rep: AnalysisReport) -> str:
     if rep.sufficient is not None:
         lines.append("coexistence-excluding sufficient conditions:")
         lines.append(f"  entrywise_dominance: {rep.sufficient.entrywise_dominance}")
-        lines.append(f"  row_sum_gap:         {rep.sufficient.row_sum_gap}")
         lines.append(f"  profile_dominance:   {rep.sufficient.profile_dominance}")
         lines.append("")
     if rep.enumeration.line_degeneracy_suspected:
@@ -259,7 +274,6 @@ def analysis_to_dict(rep: AnalysisReport) -> dict:
     if rep.sufficient is not None:
         doc["sufficient_conditions"] = {
             "entrywise_dominance": rep.sufficient.entrywise_dominance,
-            "row_sum_gap": rep.sufficient.row_sum_gap,
             "profile_dominance": rep.sufficient.profile_dominance,
         }
     return doc
@@ -267,16 +281,8 @@ def analysis_to_dict(rep: AnalysisReport) -> dict:
 
 def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
-    rep = build_analysis_report(
-        system_from_config(cfg, args.config))
-    if args.json:
-        text = json.dumps(analysis_to_dict(rep), indent=2) + "\n"
-        name = "analysis.json"
-    else:
-        text = render_analysis_text(rep)
-        name = "analysis.txt"
-    print(text, end="")
-    _write_text(args.out, name, text)
+    rep = build_analysis_report(system_from_config(cfg, args.config))
+    _emit(args, "analysis", analysis_to_dict(rep), render_analysis_text(rep))
     return EXIT_OK
 
 
@@ -301,7 +307,7 @@ def cmd_simulate(args) -> int:
     if args.out is None:
         raise ConfigError("simulate requires --out for the CSV files")
     t_end = _setting(args, cfg, "t_end", sim.DEFAULT_T_END)
-    tol = _tolerance(args, cfg, "tol", sim.DEFAULT_STOP_TOL)
+    tol = _setting(args, cfg, "tol", sim.DEFAULT_STOP_TOL)
     record = _setting(args, cfg, "record_interval", 1.0)
     eq_list = equilibria.enumerate_equilibria(a).equilibria
     # Repeated kinds are told apart by a suffix: kind, kind_2, ...
@@ -390,18 +396,11 @@ def cmd_sandwich(args) -> int:
     a = system_from_config(cfg, args.config)
     eta = _setting(args, cfg, "eta", sim.DEFAULT_ETA)
     t_end = _setting(args, cfg, "t_end", sim.DEFAULT_T_END)
-    tol = _tolerance(args, cfg, "tol", sim.DEFAULT_STOP_TOL)
-    agree_tol = _tolerance(args, cfg, "agree_tol", 1e-6)
+    tol = _setting(args, cfg, "tol", sim.DEFAULT_STOP_TOL)
+    agree_tol = _setting(args, cfg, "agree_tol", 1e-6)
     res = sim.sandwich_test(a, eta=eta, t_end=t_end, tol=agree_tol,
                             stop_tol=tol)
-    if args.json:
-        text = json.dumps(sandwich_to_dict(res), indent=2) + "\n"
-        name = "sandwich.json"
-    else:
-        text = render_sandwich_text(res)
-        name = "sandwich.txt"
-    print(text, end="")
-    _write_text(args.out, name, text)
+    _emit(args, "sandwich", sandwich_to_dict(res), render_sandwich_text(res))
     return EXIT_OK if res.conclusive else EXIT_INCONCLUSIVE
 
 
@@ -517,7 +516,7 @@ def run_case(case: case_lib.CaseStudy, t_end: float = sim.DEFAULT_T_END):
 
 
 def cmd_cases(args) -> int:
-    t_end = float(args.t_end) if args.t_end is not None else sim.DEFAULT_T_END
+    t_end = _setting(args, {}, "t_end", sim.DEFAULT_T_END)
     all_lines = ["bundled case studies", "====================", ""]
     docs = []
     ok_all = True
@@ -529,14 +528,8 @@ def cmd_cases(args) -> int:
         docs.append(doc)
     all_lines.append("overall: " + ("ALL CELLS PASS" if ok_all
                                     else "CELL FAILURES PRESENT"))
-    text = "\n".join(all_lines) + "\n"
-    if args.json:
-        text = json.dumps({"cases": docs, "ok": ok_all}, indent=2) + "\n"
-        name = "cases.json"
-    else:
-        name = "cases.txt"
-    print(text, end="")
-    _write_text(args.out, name, text)
+    _emit(args, "cases", {"cases": docs, "ok": ok_all},
+          "\n".join(all_lines) + "\n")
     return EXIT_OK if ok_all else EXIT_CELL_FAILURE
 
 
@@ -581,8 +574,6 @@ def cmd_construct_line(args) -> int:
     print(text, end="")
 
     if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         doc = {
             "version": CONFIG_VERSION,
             "system": {
@@ -599,10 +590,10 @@ def cmd_construct_line(args) -> int:
                 "endpoint_verdict": verdict,
             },
         }
-        (out / "constructed_system.json").write_text(
-            json.dumps(doc, indent=2) + "\n", encoding="utf-8", newline="\n")
+        _write_text(args.out, "constructed_system.json",
+                    json.dumps(doc, indent=2) + "\n")
         _write_text(args.out, "construction_report.txt", text)
-        print(f"wrote {out / 'constructed_system.json'}")
+        print(f"wrote {Path(args.out) / 'constructed_system.json'}")
     return EXIT_OK
 
 

@@ -117,7 +117,7 @@ class Equilibrium:
     residual: float
     spectrum_class: str   # stable | unstable | singular_boundary
     abscissa: float       # rightmost real part of the Jacobian spectrum
-    degenerate: bool = False
+    degenerate: bool = False  # singular_boundary, or a double root
 
     def coordinates(self) -> np.ndarray:
         return self.state.as_vector()
@@ -136,14 +136,11 @@ class BoundaryVerdict:
 
 @dataclass(frozen=True)
 class SufficientConditions:
-    """Tri-state report for the three coexistence-excluding dominance
-    tests, each one of {holds_for_virus1, holds_for_virus2, inconclusive}.
-    The enumeration relies on `entrywise_dominance` and
-    `profile_dominance` (see `coexistence_excluded`), not on
-    `row_sum_gap`."""
+    """Tri-state report for the two proved coexistence-excluding dominance
+    tests of `coexistence_excluded`, each one of {holds_for_virus1,
+    holds_for_virus2, inconclusive}."""
 
     entrywise_dominance: str
-    row_sum_gap: str
     profile_dominance: str
 
 
@@ -346,29 +343,34 @@ def _tri(wins2, wins1):
     return "inconclusive"
 
 
-def _profile_dominance(bars):
-    """(verdict, margin) of the strict profile test.  margin is the least
-    nodewise gap by which one profile exceeds the other (at most 0 when
-    neither is higher at every node); the verdict names the virus whose
-    profile is higher by more than PROFILE_MARGIN at every node."""
-    gap = bars[1] - bars[0]
-    margin = max(gap.min(), -gap.max())
-    return _tri(gap.min() > PROFILE_MARGIN, -gap.max() > PROFILE_MARGIN), margin
+def _dominance_tests(a):
+    """{test: (verdict, margin)} of the two proved dominance tests on the
+    Analysis a, whose viruses are both supercritical.  The entrywise margin
+    is the largest entry gap between the normalized rates; the profile
+    margin is the least nodewise gap by which one profile exceeds the other
+    (at most 0 when neither is higher at every node), and its verdict names
+    the virus whose profile is higher by more than PROFILE_MARGIN at every
+    node."""
+    B1, B2 = a.ns.B1, a.ns.B2
+    gap = a.bars[1] - a.bars[0]
+    return {
+        "entrywise_dominance": (_tri(_dominance(B2, B1), _dominance(B1, B2)),
+                                float(np.abs(B1 - B2).max())),
+        "profile_dominance": (_tri(gap.min() > PROFILE_MARGIN,
+                                   -gap.max() > PROFILE_MARGIN),
+                              float(max(gap.min(), -gap.max()))),
+    }
 
 
 def _exclusion(a):
     """(test, margin) of the first test that rules coexistence out on the
     Analysis a, or None when none does.  The margin is 1 - min(R) for a
-    subcritical virus, the largest entry gap for entrywise dominance and
-    the least nodewise gap for profile dominance."""
+    subcritical virus and the `_dominance_tests` margin otherwise."""
     if any(bar is None for bar in a.bars):
         return "subcritical virus", 1.0 - min(a.R)
-    B1, B2 = a.ns.B1, a.ns.B2
-    if _dominance(B1, B2) or _dominance(B2, B1):
-        return "entrywise_dominance", float(np.abs(B1 - B2).max())
-    verdict, margin = _profile_dominance(a.bars)
-    if verdict != "inconclusive":
-        return "profile_dominance", float(margin)
+    for test, (verdict, margin) in _dominance_tests(a).items():
+        if verdict != "inconclusive":
+            return test, margin
     return None
 
 
@@ -409,35 +411,21 @@ def coexistence_excluded(sys: BivirusSystem | Analysis) -> bool:
 
 
 def sufficient_conditions(sys: BivirusSystem | Analysis) -> SufficientConditions:
-    """Evaluate the three coexistence-excluding dominance tests in both
-    virus orderings on the recovery-normalized rates.
-
-    `entrywise_dominance` and `profile_dominance` are the tests of
-    `coexistence_excluded`, proved there, and `enumerate_equilibria` runs
-    no coexistence search when either holds.  `profile_dominance` asks
-    for a gap above PROFILE_MARGIN at every node, so on a line of
-    equilibria, whose two profiles differ only by rounding, it reads
-    inconclusive.  `row_sum_gap` (every row sum of one virus's rates above
-    every row sum of the other's) is reported but has no proof here, and
-    the enumeration does not rely on it.
+    """The verdicts of the two dominance tests of `coexistence_excluded`,
+    proved there, in both virus orderings on the recovery-normalized rates;
+    `enumerate_equilibria` runs no coexistence search when either holds.
+    `profile_dominance` asks for a gap above PROFILE_MARGIN at every node,
+    so on a line of equilibria, whose two profiles differ only by rounding,
+    it reads inconclusive.
 
     Requires both viruses supercritical (each boundary equilibrium must
     exist for the comparisons to mean anything).
     """
     a = analysis(sys)
-    ns, (x1bar, x2bar) = a.ns, a.bars
-    if x1bar is None or x2bar is None:
+    if any(bar is None for bar in a.bars):
         raise DomainError("sufficient_conditions needs R1 > 1 and R2 > 1")
-
-    entrywise = _tri(_dominance(ns.B2, ns.B1), _dominance(ns.B1, ns.B2))
-
-    rs1 = ns.B1.sum(axis=1)
-    rs2 = ns.B2.sum(axis=1)
-    row_gap = _tri(rs2.min() > rs1.max(), rs1.min() > rs2.max())
-
-    return SufficientConditions(entrywise_dominance=entrywise,
-                                row_sum_gap=row_gap,
-                                profile_dominance=_profile_dominance(a.bars)[0])
+    return SufficientConditions(
+        **{test: verdict for test, (verdict, _) in _dominance_tests(a).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -882,8 +870,7 @@ def enumerate_equilibria(sys: BivirusSystem | Analysis,
         if newton_seeds is None or len(newton_seeds):
             items.extend(find_coexistence_newton(a, seeds=newton_seeds))
 
-    degenerate = any(e.spectrum_class == "singular_boundary" or e.degenerate
-                     for e in items)
+    degenerate = any(e.degenerate for e in items)
     return EnumerationResult(equilibria=items,
                              line_degeneracy_suspected=degenerate,
                              complete=complete and not degenerate)

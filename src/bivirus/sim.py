@@ -332,8 +332,6 @@ def _integrate_starts(sys, starts, t_end, *, record_interval=1.0,
     if stop_tol is not None and not 0.0 <= stop_tol < math.inf:
         raise DomainError(f"stop_tol must be None or finite and >= 0, "
                           f"got {stop_tol}")
-    starts = [State(np.asarray(s.x1, float), np.asarray(s.x2, float))
-              for s in starts]
     for s in starts:
         model.require_in_feasible_set(s)
     window = max(min(20.0, 0.1 * t_end), 2.0 * min(record_interval, t_end))
@@ -812,8 +810,7 @@ def basin_probe(sys: BivirusSystem | Analysis, equilibria,
     for i, a in enumerate(a_vals):
         for j, b in enumerate(b_vals):
             s0 = State(a * ones, b * ones)
-            if (model.in_feasible_set(s0, 0.0)
-                    and model.is_strictly_interior(s0)):
+            if model.is_strictly_interior(s0):
                 cells.append((i, j))
                 starts.append(s0)
     balls = _AttractionBalls(sys, equilibria, DEFAULT_STOP_TOL)

@@ -172,12 +172,21 @@ class TestSimulate:
         # is refused, naming the setting, before any run is labelled, and
         # leaves no output directory behind
         start = [{"x1": [0.4, 0.3], "x2": [0.2, 0.3]}]
-        for extra, flags, name in [({}, ["--t-end", "inf"], "t_end"),
-                                   ({}, ["--t-end", "nan"], "t_end"),
-                                   ({"record_interval": 0}, [],
-                                    "record_interval"),
-                                   ({}, ["--tol", "-1"], "--tol must"),
-                                   ({"tol": -1}, [], "c.json: tol must")]:
+        for extra, flags, name in [
+                ({}, ["--t-end", "inf"],
+                 "--t-end must be finite and > 0, got inf"),
+                ({}, ["--t-end", "nan"],
+                 "--t-end must be finite and > 0, got nan"),
+                ({"t_end": 0}, [], "c.json: t_end must be finite and > 0, "
+                 "got 0"),
+                ({"record_interval": 0}, [], "c.json: record_interval must "
+                 "be finite and > 0, got 0"),
+                ({"record_interval": -2}, [], "c.json: record_interval "
+                 "must be finite and > 0, got -2"),
+                ({}, ["--tol", "-1"], "--tol must be finite and >= 0, "
+                 "got -1"),
+                ({"tol": -1}, [], "c.json: tol must be finite and >= 0, "
+                 "got -1")]:
             cfg = write_config(tmp_path / "c.json", case_config(
                 "case2", initial_conditions=start, **extra))
             capsys.readouterr()
@@ -222,8 +231,16 @@ class TestSandwichCmd:
         # settings that cannot mean anything are refused, naming the
         # setting, instead of ending inconclusive or in a false verdict
         for name, doc, flags, setting in [
-                ("case1", {}, ["--t-end", "nan"], "t_end"),
-                ("case2", {}, ["--t-end", "nan"], "t_end"),
+                ("case1", {}, ["--t-end", "nan"], "--t-end must be finite "
+                 "and > 0, got nan"),
+                ("case2", {}, ["--t-end", "nan"], "--t-end must be finite "
+                 "and > 0, got nan"),
+                ("case2", {"t_end": -5}, [], "c.json: t_end must be finite "
+                 "and > 0, got -5"),
+                ("case2", {}, ["--eta", "0.5"], "--eta must be in (0, 0.1], "
+                 "got 0.5"),
+                ("case2", {"eta": 0}, [], "c.json: eta must be in (0, 0.1], "
+                 "got 0"),
                 ("case2", {}, ["--tol", "-1"], "--tol must be finite and "
                  ">= 0, got -1"),
                 ("case2", {"tol": -1}, [], "c.json: tol must be finite "
@@ -307,6 +324,55 @@ class TestCasesCmd:
         assert doc["ok"] is True
         assert [c["case"] for c in doc["cases"]] == \
             ["case1", "case2", "case3", "case4"]
+        assert _key_tree(doc) == {"cases": [{
+            "case": None, "ok": None, "equilibria": [EQUILIBRIUM_KEYS],
+            "sandwich": SANDWICH_KEYS}], "ok": None}
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_horizon_refused_naming_the_flag(self, capsys, value):
+        assert cli.main(["cases", "--t-end", value]) == 2
+        assert (f"--t-end must be finite and > 0, got {float(value):g}"
+                in capsys.readouterr().err)
+
+
+def _key_tree(doc):
+    """The key names of a JSON document, nested as it nests them: a list of
+    objects stands for its first item's keys, any other value for None."""
+    if isinstance(doc, dict):
+        return {k: _key_tree(v) for k, v in doc.items()}
+    if isinstance(doc, list) and doc and isinstance(doc[0], dict):
+        return [_key_tree(doc[0])]
+    return None
+
+
+EQUILIBRIUM_KEYS = {"kind": None, "x1": None, "x2": None,
+                    "spectrum_class": None, "abscissa": None,
+                    "residual": None, "degenerate": None}
+SANDWICH_KEYS = {"eta": None, "conclusive": None, "agree": None,
+                 "limit_A": {"x1": None, "x2": None},
+                 "limit_B": {"x1": None, "x2": None}, "retired": None}
+
+
+class TestJsonKeys:
+    """The key names of the --json documents (the cases document is pinned
+    in `TestCasesCmd`)."""
+
+    def test_analyze(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", case_config("case2"))
+        assert cli.main(["analyze", "--config", cfg, "--json"]) == 0
+        verdict = {"rho_cross": None, "verdict": None}
+        assert _key_tree(json.loads(capsys.readouterr().out)) == {
+            "n": None, "reproduction_numbers": None,
+            "equilibria": [EQUILIBRIUM_KEYS],
+            "boundary_stability": {"virus1": verdict, "virus2": verdict},
+            "sufficient_conditions": {"entrywise_dominance": None,
+                                      "profile_dominance": None},
+            "line_degeneracy_suspected": None}
+
+    def test_sandwich(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", case_config("case2"))
+        assert cli.main(["sandwich", "--config", cfg, "--json"]) == 0
+        assert _key_tree(json.loads(capsys.readouterr().out)) == SANDWICH_KEYS
 
 
 class TestConstructLineCmd:
