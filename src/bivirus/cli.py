@@ -130,6 +130,8 @@ _RANGES = {
     "t_end": ("finite and > 0", lambda v: 0.0 < v < math.inf),
     "record_interval": ("finite and > 0", lambda v: 0.0 < v < math.inf),
     "eta": ("in (0, 0.1]", lambda v: 0.0 < v <= 0.1),
+    "mu": ("finite and > 0", lambda v: 0.0 < v < math.inf),
+    "blend_weight": ("in [0, 1]", lambda v: 0.0 <= v <= 1.0),
 }
 
 

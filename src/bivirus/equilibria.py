@@ -18,7 +18,8 @@ iteration assembles the Jacobians of every seed still running as one
 stack and solves them with one stacked `np.linalg.solve`, so at small n
 the cost is the arithmetic rather than one round of Python-level numpy
 calls per seed.  The endemic profiles are the same solver's batches of
-one.
+one.  The search stops once the index identity closes (`_index_check`):
+a stopping rule, not a proof that no root is missing.
 
 Every analysis of a system accepts the system or its `Analysis`: the
 validated system with its recovery-normalized rates, (R1, R2) and both
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -165,16 +167,8 @@ class LineFamily:
 @dataclass(frozen=True)
 class EnumerationResult:
     """Every equilibrium found, in the order healthy, boundary,
-    coexistence.  `line_degeneracy_suspected` is True when some equilibrium
-    is classified on the singular boundary: a line of equilibria, or just
-    a critical boundary equilibrium (rho_cross within the classification
-    band of 1), which reads True without any line (see
-    `enumerate_equilibria`).  `complete` is True only when the list
-    provably holds every equilibrium of the system: no coexistence is
-    possible (`coexistence_excluded`, at any n) or the n = 2 analytic
-    route accounted for every real root of its quadratic, and no
-    equilibrium is on the singular boundary.  The Newton route never reads
-    True."""
+    coexistence.  `enumerate_equilibria` says when its two flags are set:
+    `complete` only when the list provably holds every equilibrium."""
 
     equilibria: list[Equilibrium]
     line_degeneracy_suspected: bool = False
@@ -284,12 +278,28 @@ def _endemic_profile(B, d, tol=1e-12):
 
 @dataclass(frozen=True)
 class Analysis:
-    """What every analysis below starts from; build it with `analysis`."""
+    """What every analysis below starts from; build it with `analysis`.
+    Its boundary verdicts and dominance tests are computed once, on use."""
 
     system: BivirusSystem  # the validated system as given
     ns: BivirusSystem      # its recovery-normalized copy
     R: tuple               # (R1, R2)
     bars: tuple            # (x1_bar, x2_bar); None where Ri <= 1
+
+    @cached_property
+    def boundary(self):
+        """The verdicts of `boundary_stability`."""
+        rhos = [None if xbar is None else
+                speclin.spectral_radius((1.0 - xbar)[:, None] * B_other)
+                for xbar, B_other in zip(self.bars, (self.ns.B2, self.ns.B1))]
+        return tuple(None if rho is None else BoundaryVerdict(
+            rho, _VERDICT_FROM_METZLER[speclin.classify_abscissa(rho - 1.0)])
+            for rho in rhos)
+
+    @cached_property
+    def dominance(self):
+        """`_dominance_tests` of this Analysis."""
+        return _dominance_tests(self)
 
 
 def analysis(sys: BivirusSystem | Analysis) -> Analysis:
@@ -317,17 +327,7 @@ def boundary_stability(sys: BivirusSystem | Analysis):
     system is recovery-normalized internally (equilibria and their
     stability are unchanged by that).
     """
-    a = analysis(sys)
-    verdicts = []
-    for xbar, B_other in zip(a.bars, (a.ns.B2, a.ns.B1)):
-        if xbar is None:
-            verdicts.append(None)
-            continue
-        rho_cross = speclin.spectral_radius((1.0 - xbar)[:, None] * B_other)
-        verdict = speclin.classify_abscissa(rho_cross - 1.0)
-        verdicts.append(BoundaryVerdict(rho_cross=rho_cross,
-                                        verdict=_VERDICT_FROM_METZLER[verdict]))
-    return tuple(verdicts)
+    return analysis(sys).boundary
 
 
 def _dominance(a, b) -> bool:
@@ -368,7 +368,7 @@ def _exclusion(a):
     subcritical virus and the `_dominance_tests` margin otherwise."""
     if any(bar is None for bar in a.bars):
         return "subcritical virus", 1.0 - min(a.R)
-    for test, (verdict, margin) in _dominance_tests(a).items():
+    for test, (verdict, margin) in a.dominance.items():
         if verdict != "inconclusive":
             return test, margin
     return None
@@ -425,7 +425,7 @@ def sufficient_conditions(sys: BivirusSystem | Analysis) -> SufficientConditions
     if any(bar is None for bar in a.bars):
         raise DomainError("sufficient_conditions needs R1 > 1 and R2 > 1")
     return SufficientConditions(
-        **{test: verdict for test, (verdict, _) in _dominance_tests(a).items()})
+        **{test: verdict for test, (verdict, _) in a.dominance.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +584,8 @@ def _ball_radius(J, lipschitz):
 
 class _KnownRoots:
     """Roots of the field of the normalized system ns found so far, each
-    with the radius of its certified Newton convergence ball.  Newton from
+    with the radius of its certified Newton convergence ball and the sign
+    of det J, read off the Jacobian the radius is built from.  Newton from
     inside a ball can only end at that ball's root, so an iterate there
     needs no further steps.  Starts with the healthy state and each
     boundary equilibrium whose profile in `bars` exists."""
@@ -598,6 +599,7 @@ class _KnownRoots:
                                     ns.B2.sum(axis=1).max())
         self.centres = np.empty((0, 2 * ns.n))
         self.radii = np.empty(0)
+        self.signs = np.empty(0)   # sign det J at each centre
         x1bar, x2bar = bars
         zero = np.zeros(ns.n)
         self.add(np.zeros(2 * ns.n))
@@ -609,9 +611,10 @@ class _KnownRoots:
     def add(self, v):
         if (np.abs(self.centres - v).max(axis=1) <= DEDUP_RADIUS).any():
             return
+        J = self._jac(v)
         self.centres = np.vstack([self.centres, v])
-        self.radii = np.append(self.radii,
-                               _ball_radius(self._jac(v), self._lipschitz))
+        self.radii = np.append(self.radii, _ball_radius(J, self._lipschitz))
+        self.signs = np.append(self.signs, np.linalg.slogdet(J)[0])
 
     def contains(self, V):
         """Whether each row of V lies inside a ball."""
@@ -736,29 +739,59 @@ def _polish(f, jac, v):
     return np.where(better[:, None], trial, v)
 
 
+def _index_check(a, known, fixed, roots):
+    """(index sum, expected sum, outcome) of the index identity on the
+    Analysis a: sign det(-J) = sign det J summed over the coexistence
+    points equals -(i1 + i2) / 2, with i = +1 for a stable boundary
+    equilibrium and -1 for an unstable one.  The sum runs over the
+    deduplicated `roots`, each signed as its nearest centre of `known`.
+    outcome is "closed", "critical boundary" (a verdict is critical or
+    absent; no expected sum), "singular root" (a ball of radius 0) or
+    "mismatch", which a root nearest the first `fixed` centres reads too."""
+    V = np.array([s.as_vector() for s in _dedup(roots)])
+    V = V.reshape(-1, 1, known.centres.shape[1])
+    near = np.abs(V - known.centres).max(axis=-1).argmin(axis=-1)
+    total = int(known.signs[near].sum())
+    iota = [{"locally_stable": 1, "unstable": -1}.get(
+        getattr(v, "verdict", None)) for v in a.boundary]
+    if None in iota:
+        return total, None, "critical boundary"
+    expected = -(iota[0] + iota[1]) // 2
+    if (known.radii[near] == 0.0).any():
+        return total, expected, "singular root"
+    if total != expected or (near < fixed).any():
+        return total, expected, "mismatch"
+    return total, expected, "closed"
+
+
 def find_coexistence_newton(sys: BivirusSystem | Analysis, seeds=None):
     """Coexistence equilibria by damped Newton from a family of seeds:
     `seeds` (States or flat vectors), or `default_seed_grid` when None.
 
     The seeds run through `_newton_root` in lockstep batches, as many per
-    batch as keep its Jacobian stack within NEWTON_BATCH_BYTES (every
-    default seed up to n = 14, 10 seeds at n = 40, one at n = 100).  A seed
-    converges when its residual falls to NEWTON_TOL, and its root then
-    takes one more full Newton step if that lowers the residual
-    (`_polish`).  Converged roots are
-    kept only when strictly interior (every entry positive and every
-    nodewise sum below one, so the all-or-nothing zero-pattern of genuine
-    equilibria is respected), deduplicated at 1e-6 in the infinity norm
-    after a lexicographic sort.  A seed whose iterate enters the certified
-    convergence ball of a root already known (the healthy state, a
-    boundary equilibrium, or a root that any seed reached, in its own
-    batch or an earlier one) is retired there: it could only end at that
-    root, a duplicate or not interior.  Per-seed failures are counted in
-    the DEBUG log, not raised; a seed with a NaN or infinite entry raises
-    DomainError.  On a system carrying a line of equilibria the points of
-    the line have singular Jacobians, hence balls of radius 0 or next to
-    it, so no seed retires there; the returned points are many and carry
-    spectrum_class == 'singular_boundary'.
+    batch as keep its Jacobian stack within NEWTON_BATCH_BYTES.  The
+    default grid runs in two stages: its seeds at the levels
+    SEED_LEVELS[::4] of both intensities (at most 9, spread over the
+    grid), then the rest in grid order.  After stage 1 and after every
+    later batch the search stops if the index identity closes on the
+    roots found (`_index_check`).  That is a stopping rule, not a proof:
+    roots whose indices cancel can remain unfound, so the result is not
+    complete.  Where the identity is undefined (a critical boundary, or a
+    singular root, as on a line) every seed runs, as explicit `seeds` do.
+
+    A seed converges when its residual falls to NEWTON_TOL, and its root
+    then takes one more full Newton step if that lowers the residual
+    (`_polish`).  Roots are kept only when strictly interior (so the
+    all-or-nothing zero pattern of genuine equilibria is respected),
+    deduplicated at DEDUP_RADIUS after a lexicographic sort.  A seed whose
+    iterate enters the certified convergence ball of a known root (the
+    healthy state, a boundary equilibrium, or any root reached so far) is
+    retired: it could only end at that root.  The DEBUG log counts the
+    seeds run, converged, retired and failed, and gives the identity's
+    outcome; a seed with a NaN or infinite entry raises DomainError.  On a
+    line of equilibria the Jacobians are singular, so no seed retires
+    there; the returned points are many and carry spectrum_class ==
+    'singular_boundary'.
     """
     a = analysis(sys)
     ns = a.ns
@@ -770,6 +803,12 @@ def find_coexistence_newton(sys: BivirusSystem | Analysis, seeds=None):
                            for s in seeds], dtype=float).reshape(len(seeds), k)
     if not np.isfinite(starts).all():
         raise DomainError("newton seed has a NaN or infinite entry")
+    staged = len(starts)       # the seeds that run before the first check
+    if seeds is None and staged:     # stage 1 first: levels SEED_LEVELS[::4]
+        levels = starts[:, [0, ns.n]] / [a.bars[0][0], a.bars[1][0]]
+        first = np.isclose(levels[..., None], SEED_LEVELS[::4]).any(-1).all(-1)
+        starts = starts[np.argsort(~first, kind="stable")]
+        staged = int(first.sum())
     f = model.field(ns)
     jac_rows = 0
 
@@ -782,23 +821,30 @@ def find_coexistence_newton(sys: BivirusSystem | Analysis, seeds=None):
         return model.jacobian(ns, v)
 
     known = _KnownRoots(ns, a.bars, jac)
-    batches = range(0, len(starts),
-                    max(1, NEWTON_BATCH_BYTES // (8 * k * k)))
+    fixed = len(known.centres)
+    step = max(1, NEWTON_BATCH_BYTES // (8 * k * k))
+    bounds = [*range(0, staged, step), *range(staged, len(starts), step),
+              len(starts)]
     roots = []
-    converged = retired = 0
-    for lo in batches:
-        v, rnorm, in_ball = _newton_root(
-            f, jac, starts[lo:lo + batches.step], lambda v: NEWTON_TOL,
-            known)
+    converged = retired = ran = 0
+    check = _index_check(a, known, fixed, roots)
+    for lo, ran in zip(bounds, bounds[1:]):
+        v, rnorm, in_ball = _newton_root(f, jac, starts[lo:ran],
+                                         lambda v: NEWTON_TOL, known)
         root = ~in_ball & (rnorm <= NEWTON_TOL)
         converged += int(root.sum())
         retired += int(in_ball.sum())
         roots += [s for s in map(State.from_vector, _polish(f, jac, v[root]))
                   if model.is_strictly_interior(s, INTERIOR_FLOOR)]
-    log.debug("newton search: %d seeds converged, %d retired, %d failed "
-              "in %d lockstep batches, %d Jacobian rows; ball radii %.3g "
-              "to %.3g", converged, retired, len(starts) - converged - retired,
-              len(batches), jac_rows, known.radii.min(), known.radii.max())
+        if ran >= staged:
+            check = _index_check(a, known, fixed, roots)
+            if check[2] == "closed":
+                break
+    log.debug("newton search: %d of %d seeds run (%d converged, %d "
+              "retired, %d failed), %d Jacobian rows; ball radii %.3g to "
+              "%.3g; index sum %d, expected %s: %s", ran, len(starts),
+              converged, retired, ran - converged - retired, jac_rows,
+              known.radii.min(), known.radii.max(), *check)
     return [_make_equilibrium(a.system, s, KIND_COEXISTENCE)
             for s in _dedup(roots)]
 
@@ -844,7 +890,7 @@ def enumerate_equilibria(sys: BivirusSystem | Analysis,
     route accounted for every real root of its quadratic
     (`_coexistence_n2`).  A root that route drops for lying within
     INTERIOR_FLOOR of the boundary leaves it False, and so does the Newton
-    route, which may miss roots.
+    route, which may miss roots even once its index identity closes.
     """
     a = analysis(sys)
     sys, (x1bar, x2bar) = a.system, a.bars
@@ -943,8 +989,8 @@ def construct_equilibrium_line(B1, mu: float = 1.0, c_matrix=None,
     B1 = speclin.require_nonnegative(B1, "B1")
     if not speclin.is_irreducible(B1):
         raise DomainError("B1 must be irreducible")
-    if mu <= 0:
-        raise DomainError("mu must be positive")
+    if not 0.0 < mu < np.inf:
+        raise DomainError(f"mu must be finite and positive, got {mu:g}")
     n = B1.shape[0]
     eye = np.eye(n)
     if speclin.spectral_radius(B1) <= 1.0:

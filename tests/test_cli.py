@@ -407,6 +407,21 @@ class TestConstructLineCmd:
         assert cli.main(["construct-line", "--config", cfg]) == 2
         assert "subcritical" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting,value,message", [
+        ("mu", float("nan"), "c.json: mu must be finite and > 0, got nan"),
+        ("mu", float("inf"), "c.json: mu must be finite and > 0, got inf"),
+        ("blend_weight", float("nan"),
+         "c.json: blend_weight must be in [0, 1], got nan"),
+        ("blend_weight", 2.0, "c.json: blend_weight must be in [0, 1], "
+         "got 2")])
+    def test_refusal_names_the_config_key(self, tmp_path, capsys, setting,
+                                          value, message):
+        cfg = write_config(tmp_path / "c.json", {
+            "version": 1, "B1": [[1.6, 1.0], [1.0, 1.6]],
+            "c_matrix": [[1.0, 1.0], [1.0, 1.0]], setting: value})
+        assert cli.main(["construct-line", "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_analyze_json_bit_identical(self, tmp_path, capsys):
@@ -454,6 +469,30 @@ class TestSpectralWorkOnce:
         cfg = write_config(tmp_path / "c.json", case_config("case2"))
         assert cli.main(["analyze", "--config", cfg]) == 0
         assert calls == self.EXPECTED
+
+    def test_dominance_tests_once(self, monkeypatch):
+        # the enumeration's exclusion and the sufficient conditions read
+        # the same cached verdicts
+        calls = []
+        tests = equilibria._dominance_tests
+
+        def counted(a):
+            calls.append(a)
+            return tests(a)
+        monkeypatch.setattr(equilibria, "_dominance_tests", counted)
+        cli.build_analysis_report(CASES["case2"].system())
+        assert len(calls) == 1
+
+    def test_lifted_report(self, calls):
+        # the coexistence search's stop rule reads the report's boundary
+        # verdicts instead of computing them again
+        block = np.full((10, 10), 0.1)
+        eye = np.eye(20)
+        base = CASES["case2"].system()
+        rep = cli.build_analysis_report(model.BivirusSystem(
+            np.kron(base.B1, block), eye, np.kron(base.B2, block), eye))
+        assert len(rep.enumeration.of_kind("coexistence")) == 1
+        assert calls["spectral_radius"] == 4
 
     def test_simulate_command(self, calls, tmp_path):
         # no boundary verdicts: two spectral radii and two irreducibility

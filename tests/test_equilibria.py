@@ -920,3 +920,127 @@ def test_seed_grid_matches_the_loop(sys):
     grid = equilibria.default_seed_grid(a)
     assert 0 < len(loop) < len(equilibria.SEED_LEVELS) ** 2
     assert grid.tobytes() == np.array(loop).tobytes()
+
+
+#: Draws k of np.random.default_rng((26, k)).uniform(0.05, 3, (2, 2, 2))
+#: that are two-node systems (B1, I, B2, I) with two coexistence points
+#: and a complete analytic enumeration.
+TWO_ROOT_DRAWS = (560, 1735, 3139, 7550)
+
+
+def _two_root_draw(k):
+    B1_, B2_ = np.random.default_rng((26, k)).uniform(0.05, 3.0, (2, 2, 2))
+    return BivirusSystem(B1_, EYE, B2_, EYE)
+
+
+def _staged_search_systems():
+    """The lifted two-root system, each two-root draw lifted to n = 4 and
+    6 with and without 1% noise, and random draws at n = 3 to 6."""
+    rng = np.random.default_rng(61)
+
+    def noisy(M, noise):
+        return M * (1.0 + noise * rng.uniform(-1.0, 1.0, M.shape))
+
+    yield _two_root_system(lifted=True)
+    for k in TWO_ROOT_DRAWS:
+        sys = _two_root_draw(k)
+        for copies in (2, 3):
+            for noise in (0.0, 0.01):
+                lift = _lift(sys, copies)
+                yield BivirusSystem(noisy(lift.B1, noise), lift.D1,
+                                    noisy(lift.B2, noise), lift.D2)
+    for n in (3, 4, 5, 6):
+        yield random_supercritical_system(rng, n)
+
+
+def _newton_log(caplog, sys):
+    """The DEBUG line of one coexistence search on sys."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="bivirus.equilibria"):
+        bv.find_coexistence_newton(sys)
+    (line,) = [r.getMessage() for r in caplog.records
+               if r.getMessage().startswith("newton search")]
+    return line
+
+
+class TestStagedSearch:
+    """The default grid runs its coarse seeds first and stops once the
+    index identity closes."""
+
+    def test_draws_have_two_roots(self):
+        for k in TWO_ROOT_DRAWS:
+            found, complete = equilibria._coexistence_n2(
+                equilibria.analysis(_two_root_draw(k)))
+            assert len(found) == 2 and complete
+
+    def test_roots_match_a_full_grid_run(self):
+        # The reference runs every seed, none retired, and takes the final
+        # Newton step of `_polish`, which the search's roots take too.
+        for sys in _staged_search_systems():
+            a, f, jac = _newton_parts(sys)
+            full = np.array(_newton_roots(sys, retire=False))
+            full = equilibria._polish(f, jac, full.reshape(-1, 2 * sys.n))
+            found = bv.find_coexistence_newton(a)
+            assert len(found) == len(full)
+            for e in found:
+                assert np.abs(full - e.coordinates()).max(axis=1).min() <= 1e-8
+
+    @pytest.mark.parametrize("name", ["case2", "case3"])
+    def test_fewer_jacobian_rows(self, monkeypatch, name):
+        a = equilibria.analysis(_lift(CASES[name].system()))
+        rows = []
+        jacobian = model.jacobian
+
+        def counted(ns, v):
+            rows.append(np.size(v) // (2 * ns.n))
+            return jacobian(ns, v)
+        monkeypatch.setattr(model, "jacobian", counted)
+        staged = bv.find_coexistence_newton(a)
+        staged_rows = sum(rows)
+        rows.clear()
+        full = bv.find_coexistence_newton(
+            a, seeds=equilibria.default_seed_grid(a))
+        assert len(staged) == len(full) == 1
+        assert 4 * staged_rows <= sum(rows)
+
+    @pytest.mark.parametrize("sys", [
+        CASES["case1"].system(), _lift(_scaled_case2(C_STAR - 1e-10)),
+        _lift(_scaled_case2(C_STAR + 1e-10))],
+        ids=["case1", "c*-1e-10", "c*+1e-10"])
+    def test_every_seed_runs_where_the_identity_is_undefined(self, caplog,
+                                                            sys):
+        line = _newton_log(caplog, sys)
+        ran, size = re.match(r"newton search: (\d+) of (\d+) seeds run",
+                             line).groups()
+        assert ran == size
+        assert line.endswith("expected None: critical boundary")
+
+    def test_log_says_closed(self, caplog):
+        line = _newton_log(caplog, _lift(CASES["case3"].system()))
+        ran = int(re.match(r"newton search: (\d+) of 75 seeds run",
+                           line).group(1))
+        assert ran <= 9
+        assert line.endswith("index sum 1, expected 1: closed")
+
+    def test_log_says_mismatch_near_the_switch(self, caplog):
+        line = _newton_log(caplog, _lift(_scaled_case2(C_STAR + 1e-6)))
+        assert line.startswith("newton search: 75 of 75 seeds run")
+        assert line.endswith("index sum -3, expected -1: mismatch")
+
+    def test_singular_root_leaves_the_identity_open(self):
+        a, f, jac = _newton_parts(_two_root_system(lifted=True))
+        known = equilibria._KnownRoots(a.ns, a.bars, jac)
+        fixed = len(known.centres)
+        states = [e.state for e in bv.find_coexistence_newton(a)]
+        for s in states:
+            known.add(s.as_vector())
+        check = equilibria._index_check(a, known, fixed, states)
+        assert check == (0, 0, "closed")
+        known.radii[fixed] = 0.0
+        check = equilibria._index_check(a, known, fixed, states)
+        assert check == (0, 0, "singular root")
+
+    @pytest.mark.parametrize("mu", [np.nan, np.inf])
+    def test_line_construction_refuses_a_non_finite_mu(self, mu):
+        with pytest.raises(DomainError, match="mu must be finite"):
+            bv.construct_equilibrium_line(B1, mu=mu)
