@@ -16,8 +16,10 @@ import bivirus as bv
 from bivirus.sim import GridSpec
 
 for name in ("case4", "case3", "case2"):
-    system = bv.CASES[name].system()
-    res = bv.sandwich_test(system)
+    # One analysis context, shared by every call below, so the equilibria
+    # are computed once.
+    context = bv.analysis(bv.CASES[name].system())
+    res = bv.sandwich_test(context)
     print(f"=== {name}")
     print(f"  corner A -> {np.round(res.limit_A.as_vector(), 4)}")
     print(f"  corner B -> {np.round(res.limit_B.as_vector(), 4)}")
@@ -26,8 +28,7 @@ for name in ("case4", "case3", "case2"):
     else:
         print("  DISAGREE: limits span a box with an unstable equilibrium "
               "strictly inside;")
-        coex = [e for e in bv.enumerate_equilibria(system)
-                if e.kind == "coexistence"]
+        coex = bv.enumerate_equilibria(context).of_kind("coexistence")
         for e in coex:
             inside = bv.hyperrectangle_contains(res, e.state)
             print(f"    coexistence point {np.round(e.coordinates(), 4)} "
@@ -36,10 +37,10 @@ for name in ("case4", "case3", "case2"):
 
 # Basin map for the bistable case: label a grid of starts (a*1, b*1) by
 # the equilibrium they reach.  The two basins meet along the stable
-# manifold of the unstable coexistence point.
-system = bv.CASES["case2"].system()
-enum = bv.enumerate_equilibria(system)
-probe = bv.basin_probe(system, enum, GridSpec(n_a=9, n_b=9))
+# manifold of the unstable coexistence point.  `context` is still
+# case2's, from the last pass of the loop.
+enum = bv.enumerate_equilibria(context)
+probe = bv.basin_probe(context, enum, GridSpec(n_a=9, n_b=9))
 symbols = {-2: ".", -1: "?"}
 print("case2 basin map over starts (a, b) -> x1 = a*ones, x2 = b*ones")
 print("  1 = virus-1 boundary wins, 2 = virus-2 boundary wins, . = infeasible")

@@ -10,7 +10,7 @@ Quick tour:
     >>> a = bv.analysis(sys)                  # validated once: R, profiles
     >>> bv.enumerate_equilibria(a)            # healthy/boundary/coexistence
     >>> bv.boundary_stability(a)              # same context, no recompute
-    >>> bv.sandwich_test(sys)                 # corner-trajectory bound
+    >>> bv.sandwich_test(a)                   # corner-trajectory bound
 """
 
 from .exceptions import (ConvergenceError, DomainError, IntegrationError,

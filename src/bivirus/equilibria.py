@@ -24,7 +24,8 @@ a stopping rule, not a proof that no root is missing.
 Every analysis of a system accepts the system or its `Analysis`: the
 validated system with its recovery-normalized rates, (R1, R2) and both
 endemic profiles.  Build that context once with `analysis` and hand it to
-several analyses, so they share the spectral work instead of repeating it.
+several analyses, so they share the spectral work and the equilibria that
+need no search (`Analysis.direct`) instead of repeating them.
 
 Coexistence is ruled out, and no coexistence search runs at any n,
 when `coexistence_excluded` holds: a virus is subcritical, the normalized
@@ -170,7 +171,7 @@ class EnumerationResult:
     coexistence.  `enumerate_equilibria` says when its two flags are set:
     `complete` only when the list provably holds every equilibrium."""
 
-    equilibria: list[Equilibrium]
+    equilibria: tuple[Equilibrium, ...]
     line_degeneracy_suspected: bool = False
     complete: bool = False
 
@@ -279,7 +280,7 @@ def _endemic_profile(B, d, tol=1e-12):
 @dataclass(frozen=True)
 class Analysis:
     """What every analysis below starts from; build it with `analysis`.
-    Its boundary verdicts and dominance tests are computed once, on use."""
+    Each cached property is computed once, on use."""
 
     system: BivirusSystem  # the validated system as given
     ns: BivirusSystem      # its recovery-normalized copy
@@ -300,6 +301,35 @@ class Analysis:
     def dominance(self):
         """`_dominance_tests` of this Analysis."""
         return _dominance_tests(self)
+
+    @property
+    def needs_search(self) -> bool:
+        """n > 2 and `coexistence_excluded` fails."""
+        return self.system.n > 2 and _exclusion(self) is None
+
+    @cached_property
+    def direct(self) -> EnumerationResult:
+        """Every equilibrium that needs no Newton search, flagged as in
+        `enumerate_equilibria`; where `needs_search` holds, it lacks the
+        coexistence points and is not complete.  The DEBUG log names the
+        test that ruled coexistence out and its margin."""
+        sys, zero = self.system, np.zeros(self.system.n)
+        items = [_make_equilibrium(sys, State(x1, x2), kind)
+                 for x1, x2, kind in ((zero, zero, KIND_HEALTHY),
+                                      (self.bars[0], zero, KIND_BOUNDARY_1),
+                                      (zero, self.bars[1], KIND_BOUNDARY_2))
+                 if x1 is not None and x2 is not None]
+        complete = not self.needs_search
+        excluded = _exclusion(self)
+        if excluded is not None:
+            log.debug("coexistence excluded by %s (margin %.3g): no "
+                      "coexistence search", *excluded)
+        elif sys.n == 2:
+            coexistence, complete = _coexistence_n2(self)
+            items.extend(coexistence)
+        degenerate = any(e.degenerate for e in items)
+        return EnumerationResult(tuple(items), degenerate,
+                                 complete and not degenerate)
 
 
 def analysis(sys: BivirusSystem | Analysis) -> Analysis:
@@ -583,15 +613,15 @@ def _ball_radius(J, lipschitz):
 
 
 class _KnownRoots:
-    """Roots of the field of the normalized system ns found so far, each
+    """Roots of the field f of the normalized system ns found so far, each
     with the radius of its certified Newton convergence ball and the sign
     of det J, read off the Jacobian the radius is built from.  Newton from
     inside a ball can only end at that ball's root, so an iterate there
     needs no further steps.  Starts with the healthy state and each
     boundary equilibrium whose profile in `bars` exists."""
 
-    def __init__(self, ns, bars, jac):
-        self._jac = jac
+    def __init__(self, ns, bars, f, jac):
+        self._f, self._jac = f, jac
         # f is quadratic, so J is affine in the state: row i of
         # J(v) - J(w) has infinity norm at most 4 (row sum i of B1 or B2)
         # ||v - w||_inf, hence this infinity-norm Lipschitz constant.
@@ -600,21 +630,30 @@ class _KnownRoots:
         self.centres = np.empty((0, 2 * ns.n))
         self.radii = np.empty(0)
         self.signs = np.empty(0)   # sign det J at each centre
-        x1bar, x2bar = bars
         zero = np.zeros(ns.n)
-        self.add(np.zeros(2 * ns.n))
-        if x1bar is not None:
-            self.add(np.concatenate([x1bar, zero]))
-        if x2bar is not None:
-            self.add(np.concatenate([zero, x2bar]))
+        for x1, x2 in ((zero, zero), (bars[0], zero), (zero, bars[1])):
+            if x1 is not None and x2 is not None:
+                self._join(np.concatenate([x1, x2]))
 
-    def add(self, v):
-        if (np.abs(self.centres - v).max(axis=1) <= DEDUP_RADIUS).any():
-            return
+    def _join(self, v):
+        """J(v), v joining the centres unless within DEDUP_RADIUS of one."""
         J = self._jac(v)
-        self.centres = np.vstack([self.centres, v])
-        self.radii = np.append(self.radii, _ball_radius(J, self._lipschitz))
-        self.signs = np.append(self.signs, np.linalg.slogdet(J)[0])
+        if not (np.abs(self.centres - v).max(axis=1) <= DEDUP_RADIUS).any():
+            self.centres = np.vstack([self.centres, v])
+            self.radii = np.append(self.radii,
+                                   _ball_radius(J, self._lipschitz))
+            self.signs = np.append(self.signs, np.linalg.slogdet(J)[0])
+        return J
+
+    def add(self, v, r):
+        """Join the root v, with residual r = f(v), and return v moved by
+        one full Newton step on its Jacobian where that lowers its residual
+        norm: accepted at NEWTON_TOL, v is fixed only to about
+        ||J^-1|| NEWTON_TOL, so the seed that reached it first would decide
+        its trailing digits.  The centre stays v."""
+        J = self._join(v)
+        trial = v + _newton_steps(J[None], r[None])[0]
+        return trial if np.abs(self._f(trial)).max() < np.abs(r).max() else v
 
     def contains(self, V):
         """Whether each row of V lies inside a ball."""
@@ -691,8 +730,9 @@ def _newton_root(f, jac, v0, tol, known=None):
     - no step lowers its residual (it stagnated);
     - or it has taken NEWTON_MAX_ITER steps.
     A converged row joins `known` at once, so rows still running retire
-    in its ball.  Returns the final rows, the infinity norms of their
-    residuals and a mask of the rows that stopped in a ball.
+    in its ball, and ends polished (`_KnownRoots.add`).  Returns the final
+    rows, their residual norms before any polish and a mask of the rows
+    that stopped in a ball.
     """
     v = np.array(v0, dtype=float)
     r = f(v)
@@ -712,7 +752,7 @@ def _newton_root(f, jac, v0, tol, known=None):
             if known is not None:
                 in_ball[rows] = ball
                 for i in np.flatnonzero(done & ~ball):
-                    known.add(v[i])
+                    v[i] = known.add(v[i], r[i])
             V[rows[stop]], rnorm_out[rows[stop]] = v[stop], rnorm[stop]
             keep = ~stop
             rows, v, r, rnorm = rows[keep], v[keep], r[keep], rnorm[keep]
@@ -724,19 +764,6 @@ def _newton_root(f, jac, v0, tol, known=None):
         steps = _newton_steps(jac(v), r)
         v, r, rnorm, stagnated = _line_search(f, v, r, rnorm, steps)
     return V, rnorm_out, in_ball
-
-
-def _polish(f, jac, v):
-    """The roots v (one per row), each moved by one full Newton step where
-    that lowers its residual norm.  A root accepted at NEWTON_TOL is fixed
-    only to about ||J^-1|| NEWTON_TOL, so without the step the seed that
-    reached it first would decide its trailing digits."""
-    if not len(v):
-        return v
-    r = f(v)
-    trial = v + _newton_steps(jac(v), r)
-    better = np.abs(f(trial)).max(axis=-1) < np.abs(r).max(axis=-1)
-    return np.where(better[:, None], trial, v)
 
 
 def _index_check(a, known, fixed, roots):
@@ -781,7 +808,7 @@ def find_coexistence_newton(sys: BivirusSystem | Analysis, seeds=None):
 
     A seed converges when its residual falls to NEWTON_TOL, and its root
     then takes one more full Newton step if that lowers the residual
-    (`_polish`).  Roots are kept only when strictly interior (so the
+    (`_KnownRoots.add`).  Roots are kept only when strictly interior (so the
     all-or-nothing zero pattern of genuine equilibria is respected),
     deduplicated at DEDUP_RADIUS after a lexicographic sort.  A seed whose
     iterate enters the certified convergence ball of a known root (the
@@ -820,7 +847,7 @@ def find_coexistence_newton(sys: BivirusSystem | Analysis, seeds=None):
         jac_rows += v.size // k
         return model.jacobian(ns, v)
 
-    known = _KnownRoots(ns, a.bars, jac)
+    known = _KnownRoots(ns, a.bars, f, jac)
     fixed = len(known.centres)
     step = max(1, NEWTON_BATCH_BYTES // (8 * k * k))
     bounds = [*range(0, staged, step), *range(staged, len(starts), step),
@@ -834,7 +861,7 @@ def find_coexistence_newton(sys: BivirusSystem | Analysis, seeds=None):
         root = ~in_ball & (rnorm <= NEWTON_TOL)
         converged += int(root.sum())
         retired += int(in_ball.sum())
-        roots += [s for s in map(State.from_vector, _polish(f, jac, v[root]))
+        roots += [s for s in map(State.from_vector, v[root])
                   if model.is_strictly_interior(s, INTERIOR_FLOOR)]
         if ran >= staged:
             check = _index_check(a, known, fixed, roots)
@@ -862,19 +889,13 @@ def _dedup(states):
 # ---------------------------------------------------------------------------
 # full enumeration
 
-def enumerate_equilibria(sys: BivirusSystem | Analysis,
-                         newton_seeds=None) -> EnumerationResult:
+def enumerate_equilibria(sys: BivirusSystem | Analysis) -> EnumerationResult:
     """Assemble and classify every equilibrium: the healthy state, each
-    boundary equilibrium that exists, and the coexistence set.  No
-    coexistence search runs, at any n, when `coexistence_excluded` holds;
-    otherwise the set comes from the analytic quadratic for n = 2 and from
-    seeded Newton (`find_coexistence_newton`) for n > 2, from
-    `newton_seeds` when given and from `default_seed_grid` when None.  An
-    empty `newton_seeds` runs no Newton search: `find_coexistence_newton`
-    is not called, and at n > 2 the list holds the healthy and boundary
-    equilibria alone (the n = 2 route and an excluded coexistence need no
-    seeds).  The DEBUG log names the test that ruled coexistence out and
-    its margin.
+    boundary equilibrium that exists, and the coexistence set: none when
+    `coexistence_excluded` holds, at any n; otherwise the analytic
+    quadratic's points at n = 2 and those of `find_coexistence_newton` at
+    n > 2 (`Analysis.needs_search`).  All but the search's points are the
+    Analysis's `direct` equilibria, computed once per Analysis.
 
     `line_degeneracy_suspected` is set when any equilibrium sits on the
     singular boundary of the classification band.  That is the numerical
@@ -893,33 +914,11 @@ def enumerate_equilibria(sys: BivirusSystem | Analysis,
     route, which may miss roots even once its index identity closes.
     """
     a = analysis(sys)
-    sys, (x1bar, x2bar) = a.system, a.bars
-    n = sys.n
-
-    items = [_make_equilibrium(sys, State.zero(n), KIND_HEALTHY)]
-    if x1bar is not None:
-        items.append(_make_equilibrium(sys, State(x1bar, np.zeros(n)),
-                                       KIND_BOUNDARY_1))
-    if x2bar is not None:
-        items.append(_make_equilibrium(sys, State(np.zeros(n), x2bar),
-                                       KIND_BOUNDARY_2))
-    complete = True
-    excluded = _exclusion(a)
-    if excluded is not None:
-        log.debug("coexistence excluded by %s (margin %.3g): no coexistence "
-                  "search", *excluded)
-    elif n == 2:
-        coexistence, complete = _coexistence_n2(a)
-        items.extend(coexistence)
-    else:
-        complete = False
-        if newton_seeds is None or len(newton_seeds):
-            items.extend(find_coexistence_newton(a, seeds=newton_seeds))
-
-    degenerate = any(e.degenerate for e in items)
-    return EnumerationResult(equilibria=items,
-                             line_degeneracy_suspected=degenerate,
-                             complete=complete and not degenerate)
+    if not a.needs_search:
+        return a.direct
+    eqs = a.direct.equilibria + tuple(find_coexistence_newton(a))
+    return EnumerationResult(eqs, any(e.degenerate for e in eqs),
+                             complete=False)
 
 
 def order_bounds(sys: BivirusSystem, eqs, f):

@@ -54,7 +54,7 @@ w- falls to the greatest one below.  Such order bounds
 One constructor builds the certificate from a list of equilibria and
 adds the order bounds when the list is a complete `EnumerationResult`.
 `basin_probe` hands it the equilibria it is given, and `sandwich_test`
-hands it `equilibria.enumerate_equilibria` run with no Newton seeds.
+hands it the equilibria that need no Newton search (`Analysis.direct`).
 Retirement has one path, the stop rule, which the stepper consults at
 t = 0 as well as at every later record: a start held at t = 0 retires
 there with a one-record trajectory.  On case2 the corners (1, 0) and
@@ -464,22 +464,22 @@ def sandwich_test(sys: BivirusSystem | Analysis,
     `equilibria.Analysis`.
 
     Both corners run as one lockstep batch of the `integrate` stepper,
-    retiring on the certificate of `_AttractionBalls`, built on
-    `equilibria.enumerate_equilibria` with no Newton seeds: the complete
-    list, with its order bounds, at n = 2 or where
+    retiring on the certificate of `_AttractionBalls`, built on the
+    equilibria that need no Newton search (`equilibria.Analysis.direct`):
+    the complete list, with its order bounds, at n = 2 or where
     `equilibria.coexistence_excluded` holds, and otherwise the healthy
-    state and the boundary equilibria alone, since the search never
-    runs.  A corner held by the certificate, at t = 0 or at a record
-    mark, retires there, and its limit is that equilibrium's
-    coordinates.  Any other corner runs to its stop rule, and one that
-    reaches t_end unconverged makes the result inconclusive; it carries
-    both partial trajectories.  Only the corners are extreme in the
-    order, so no other start is tried.  A corner stopped by the rule
-    shares its step sizes with its partner, so its limit may differ from
-    a lone `integrate` run by about `RTOL`.  The `sandwich:` DEBUG line
-    says how each corner ended: in a ball, between two certified points
-    bound for an equilibrium, by the stop rule, or unconverged.  `tol`,
-    the largest gap between agreeing limits, must be finite and >= 0.
+    state and the boundary equilibria alone.  A corner held by the
+    certificate, at t = 0 or at a record mark, retires there, and its
+    limit is that equilibrium's coordinates.  Any other corner runs to its
+    stop rule, and one that reaches t_end unconverged makes the result
+    inconclusive; it carries both partial trajectories.  Only the corners
+    are extreme in the order, so no other start is tried.  A corner
+    stopped by the rule shares its step sizes with its partner, so its
+    limit may differ from a lone `integrate` run by about `RTOL`.  The
+    `sandwich:` DEBUG line says how each corner ended: in a ball, between
+    two certified points bound for an equilibrium, by the stop rule, or
+    unconverged.  `tol`, the largest gap between agreeing limits, must be
+    finite and >= 0.
     """
     if not 0.0 <= tol < math.inf:
         raise DomainError(f"tol (the agreement tolerance) must be finite "
@@ -487,7 +487,7 @@ def sandwich_test(sys: BivirusSystem | Analysis,
     a = equilibria.analysis(sys)
     sys = a.system
     corners = _corner_states(sys.n, eta)
-    centres = equilibria.enumerate_equilibria(a, newton_seeds=[])
+    centres = a.direct
     balls = _AttractionBalls(sys, centres, stop_tol)
     trajs = _integrate_starts(sys, corners, t_end, stop_tol=stop_tol,
                               certificate=balls)

@@ -465,6 +465,22 @@ class TestSpectralWorkOnce:
         assert ok
         assert calls == self.EXPECTED
 
+    def test_cases_classify_each_equilibrium_once(self, monkeypatch):
+        # run_case shares one Analysis between the report and the
+        # sandwich, so the equilibria that need no search are classified
+        # once per case.
+        counts = {}
+        for name in ("classify_state", "_coexistence_n2"):
+            fn = getattr(equilibria, name)
+
+            def counted(*args, _fn=fn, _name=name):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _fn(*args)
+            monkeypatch.setattr(equilibria, name, counted)
+        for case in CASES.values():
+            cli.run_case(case)
+        assert counts == {"classify_state": 14, "_coexistence_n2": 3}
+
     def test_analyze_command(self, calls, tmp_path):
         cfg = write_config(tmp_path / "c.json", case_config("case2"))
         assert cli.main(["analyze", "--config", cfg]) == 0

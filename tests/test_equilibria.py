@@ -334,9 +334,19 @@ class TestSeveralCoexistenceRoots:
         assert _index_sum(sys, coex) == -(iota[0] + iota[1]) / 2
 
 
+def _polished(f, jac, v):
+    """v moved by one full Newton step where that lowers its residual
+    norm: the step a root joining `_KnownRoots` takes."""
+    r = f(v)
+    trial = v + equilibria._newton_steps(jac(v)[None], r[None])[0]
+    return trial if np.abs(f(trial)).max() < np.abs(r).max() else v
+
+
 def _newton_roots(sys, retire):
     """The deduplicated interior roots that `_newton_root` reaches from the
-    default seeds, retiring seeds in the balls of known roots or not."""
+    default seeds, retiring seeds in the balls of known roots or not.  A
+    root then takes one Newton step (`_polished`), which `_newton_root`
+    takes itself when a root joins the known ones."""
     a = equilibria.analysis(sys)
     ns = a.ns
     f = model.field(ns)
@@ -344,15 +354,15 @@ def _newton_roots(sys, retire):
     def jac(v):
         return model.jacobian(ns, v)
 
-    known = equilibria._KnownRoots(ns, a.bars, jac) if retire else None
+    known = equilibria._KnownRoots(ns, a.bars, f, jac) if retire else None
     roots = []
     for seed in equilibria.default_seed_grid(sys):
         (v,), (rnorm,), (in_ball,) = equilibria._newton_root(
             f, jac, seed[None], lambda v: 1e-10, known)
         if in_ball or rnorm > 1e-10:
             continue
-        if known is not None:
-            known.add(v)
+        if known is None:
+            v = _polished(f, jac, v)
         s = State.from_vector(v)
         if model.is_strictly_interior(s, equilibria.INTERIOR_FLOOR):
             roots.append(s)
@@ -393,7 +403,7 @@ class TestNewtonRetirement:
             steps.append(v)
             return model.jacobian(ns, v)
 
-        known = equilibria._KnownRoots(ns, a.bars, jac)
+        known = equilibria._KnownRoots(ns, a.bars, f, jac)
         e, r = known.centres[2], known.radii[2]   # (0, x2_bar)
         assert r > 0
         seed = e + 0.9 * r * np.linspace(-1.0, 1.0, e.size)
@@ -505,13 +515,32 @@ class TestRootPolish:
         a, f, jac = _newton_parts(CASES["case2"].system())
         near_mid = np.concatenate(a.bars) / 2 + [1e-3, 0.0, 0.0, 0.0]
         v = np.array([near_mid, np.full(4, 0.3)])
-        trial = v + equilibria._newton_steps(jac(v), f(v))
+        trial = np.array([w + equilibria._newton_steps(jac(w)[None],
+                                                       f(w)[None])[0]
+                          for w in v])
         worse = np.abs(f(trial)).max(axis=1) > np.abs(f(v)).max(axis=1)
         assert worse.tolist() == [True, False]
-        polished = equilibria._polish(f, jac, v)
+        known = equilibria._KnownRoots(a.ns, a.bars, f, jac)
+        polished = [known.add(w, f(w)) for w in v]
         assert np.array_equal(polished[0], v[0])
         assert np.array_equal(polished[1], trial[1])
-        assert equilibria._polish(f, jac, np.empty((0, 4))).shape == (0, 4)
+        # each point joins as a centre, unpolished
+        assert np.array_equal(known.centres[-2:], v)
+
+    def test_one_jacobian_per_point(self, monkeypatch):
+        # A new root's Jacobian serves its ball radius, its sign and its
+        # polishing step, so no row repeats a point within one search.
+        a = equilibria.analysis(_lift(CASES["case3"].system()))
+        rows = []
+        jacobian = model.jacobian
+
+        def spy(ns, v):
+            w = v.as_vector() if isinstance(v, State) else v
+            rows.extend(np.reshape(w, (-1, 2 * ns.n)).tolist())
+            return jacobian(ns, v)
+        monkeypatch.setattr(model, "jacobian", spy)
+        (e,) = bv.find_coexistence_newton(a)
+        assert len({tuple(row) for row in rows}) == len(rows)
 
 
 class TestEnumerate:
@@ -541,6 +570,15 @@ class TestEnumerate:
     def test_case1_degeneracy_flag(self):
         enum = bv.enumerate_equilibria(CASES["case1"].system())
         assert enum.line_degeneracy_suspected
+
+    def test_a_result_leaves_later_results_unchanged(self):
+        # One Analysis hands out the same equilibria to every caller, so
+        # no caller can change them for the next.
+        a = equilibria.analysis(CASES["case2"].system())
+        first = bv.enumerate_equilibria(a)
+        with pytest.raises(AttributeError):
+            first.equilibria.pop()
+        assert len(bv.enumerate_equilibria(a)) == len(a.direct) == 4
 
     def test_zero_pattern_dichotomy(self):
         # per virus: identically zero, or strictly positive everywhere
@@ -824,12 +862,12 @@ class TestCoexistenceExcluded:
         assert newton_calls and not enum.complete
 
     def test_no_seeds_no_search(self, newton_calls):
-        # An empty seed list keeps the healthy and boundary equilibria of
-        # the full enumeration and runs no search.
-        sys = _lifted_case2()
-        bare = bv.enumerate_equilibria(sys, newton_seeds=[])
+        # The equilibria that need no search keep the healthy and boundary
+        # equilibria of the full enumeration and run no search.
+        a = equilibria.analysis(_lifted_case2())
+        bare = a.direct
         assert not newton_calls and not bare.complete
-        full = [e for e in bv.enumerate_equilibria(sys)
+        full = [e for e in bv.enumerate_equilibria(a)
                 if e.kind != "coexistence"]
         assert newton_calls
         assert [e.kind for e in bare] == [e.kind for e in full] == \
@@ -974,12 +1012,12 @@ class TestStagedSearch:
             assert len(found) == 2 and complete
 
     def test_roots_match_a_full_grid_run(self):
-        # The reference runs every seed, none retired, and takes the final
-        # Newton step of `_polish`, which the search's roots take too.
+        # The reference runs every seed, none retired, and its roots take
+        # the final Newton step (`_polished`) that the search's roots take.
         for sys in _staged_search_systems():
-            a, f, jac = _newton_parts(sys)
+            a = equilibria.analysis(sys)
             full = np.array(_newton_roots(sys, retire=False))
-            full = equilibria._polish(f, jac, full.reshape(-1, 2 * sys.n))
+            full = full.reshape(-1, 2 * sys.n)
             found = bv.find_coexistence_newton(a)
             assert len(found) == len(full)
             for e in found:
@@ -1029,11 +1067,11 @@ class TestStagedSearch:
 
     def test_singular_root_leaves_the_identity_open(self):
         a, f, jac = _newton_parts(_two_root_system(lifted=True))
-        known = equilibria._KnownRoots(a.ns, a.bars, jac)
+        known = equilibria._KnownRoots(a.ns, a.bars, f, jac)
         fixed = len(known.centres)
         states = [e.state for e in bv.find_coexistence_newton(a)]
         for s in states:
-            known.add(s.as_vector())
+            known.add(s.as_vector(), f(s.as_vector()))
         check = equilibria._index_check(a, known, fixed, states)
         assert check == (0, 0, "closed")
         known.radii[fixed] = 0.0

@@ -371,6 +371,23 @@ class TestSandwichRetirement:
         assert res.conclusive and not newton_calls
         assert bv.enumerate_equilibria(a) and newton_calls   # the spy sees it
 
+    def test_shares_the_callers_enumeration(self, monkeypatch):
+        # After the enumeration of an Analysis, the sandwich on it
+        # classifies no equilibrium and solves no quadratic again.
+        a = equilibria.analysis(CASES["case2"].system())
+        enum = bv.enumerate_equilibria(a)
+        calls = []
+        for name in ("classify_state", "_coexistence_n2"):
+            monkeypatch.setattr(equilibria, name,
+                                lambda *args, _name=name: calls.append(_name))
+        res = bv.sandwich_test(a)
+        assert not calls
+        assert not res.agree and res.retired == (True, True)
+        assert {res.limit_A.as_vector().tobytes(),
+                res.limit_B.as_vector().tobytes()} == {
+            e.coordinates().tobytes() for e in enum.of_kind("boundary_virus1")
+            + enum.of_kind("boundary_virus2")}
+
     def test_dominated_n3_builds_on_the_complete_enumeration(
             self, newton_calls, caplog):
         # Strictly ordered profiles rule coexistence out, so the
