@@ -7,7 +7,7 @@ Quick tour:
     ...                        [[2.1, 0.885], [1.885, 1.1]], np.eye(2))
     >>> bv.validate(sys)                      # model assumptions
     >>> bv.reproduction_numbers(sys)          # (R1, R2)
-    >>> a = bv.analysis(sys)                  # validated once: R, profiles
+    >>> a = bv.analysis(sys)                  # validated once; R, profiles on use
     >>> bv.enumerate_equilibria(a)            # healthy/boundary/coexistence
     >>> bv.boundary_stability(a)              # same context, no recompute
     >>> bv.sandwich_test(a)                   # corner-trajectory bound

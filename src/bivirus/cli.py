@@ -548,12 +548,8 @@ def cmd_construct_line(args) -> int:
     if c_matrix is not None:
         c_matrix = _numeric(c_matrix, "c_matrix", args.config, _floats)
     blend = _setting(args, cfg, "blend_weight", 1.0)
-    try:
-        system, family = equilibria.construct_equilibrium_line(
-            B1, mu=mu, c_matrix=c_matrix, blend_weight=blend)
-    except DomainError as e:
-        print(f"error: {e}", file=_sys.stderr)
-        return EXIT_CONFIG
+    system, family = equilibria.construct_equilibrium_line(
+        B1, mu=mu, c_matrix=c_matrix, blend_weight=blend)
 
     alphas = [0.0, 0.25, 0.5, 0.75, 1.0]
     residuals = [model.residual(system, family.line_state(a)) for a in alphas]

@@ -21,11 +21,11 @@ calls per seed.  The endemic profiles are the same solver's batches of
 one.  The search stops once the index identity closes (`_index_check`):
 a stopping rule, not a proof that no root is missing.
 
-Every analysis of a system accepts the system or its `Analysis`: the
-validated system with its recovery-normalized rates, (R1, R2) and both
-endemic profiles.  Build that context once with `analysis` and hand it to
-several analyses, so they share the spectral work and the equilibria that
-need no search (`Analysis.direct`) instead of repeating them.
+Every analysis of a system, here and in `sim`, accepts the system or its
+`Analysis`: the validated system, whose normalized rates, (R1, R2),
+endemic profiles and equilibria that need no search (`Analysis.direct`)
+are each computed once, on first use.  Build it with `analysis` and hand
+it to several analyses, so they share that work instead of repeating it.
 
 Coexistence is ruled out, and no coexistence search runs at any n,
 when `coexistence_excluded` holds: a virus is subcritical, the normalized
@@ -279,13 +279,27 @@ def _endemic_profile(B, d, tol=1e-12):
 
 @dataclass(frozen=True)
 class Analysis:
-    """What every analysis below starts from; build it with `analysis`.
-    Each cached property is computed once, on use."""
+    """What every analysis starts from: a validated system (`analysis`).
+    Each cached property is computed once, on first use."""
 
     system: BivirusSystem  # the validated system as given
-    ns: BivirusSystem      # its recovery-normalized copy
-    R: tuple               # (R1, R2)
-    bars: tuple            # (x1_bar, x2_bar); None where Ri <= 1
+
+    @cached_property
+    def ns(self) -> BivirusSystem:
+        """The recovery-normalized copy of the system."""
+        return model.normalize_recovery(self.system)
+
+    @cached_property
+    def R(self) -> tuple:
+        """(R1, R2)."""
+        return model.reproduction_numbers(self.ns)
+
+    @cached_property
+    def bars(self) -> tuple:
+        """(x1_bar, x2_bar), by `_endemic_profile`; None where Ri <= 1."""
+        ones = np.ones(self.system.n)
+        return tuple(_endemic_profile(B, ones) if r > 1.0 else None
+                     for r, B in zip(self.R, (self.ns.B1, self.ns.B2)))
 
     @cached_property
     def boundary(self):
@@ -333,17 +347,11 @@ class Analysis:
 
 
 def analysis(sys: BivirusSystem | Analysis) -> Analysis:
-    """The `Analysis` of sys, validated once (`model.validate`); an
-    Analysis is returned unchanged."""
+    """The `Analysis` of sys: the system, validated here and nowhere else
+    (`model.validate`); an Analysis is returned unchanged."""
     if isinstance(sys, Analysis):
         return sys
-    model.validate(sys)
-    ns = model.normalize_recovery(sys)
-    rs = model.reproduction_numbers(ns)
-    ones = np.ones(ns.n)
-    bars = tuple(_endemic_profile(B, ones) if r > 1.0 else None
-                 for r, B in zip(rs, (ns.B1, ns.B2)))
-    return Analysis(sys, ns, rs, bars)
+    return Analysis(model.validate(sys))
 
 
 # ---------------------------------------------------------------------------
@@ -772,15 +780,18 @@ def _index_check(a, known, fixed, roots):
     points equals -(i1 + i2) / 2, with i = +1 for a stable boundary
     equilibrium and -1 for an unstable one.  The sum runs over the
     deduplicated `roots`, each signed as its nearest centre of `known`.
-    outcome is "closed", "critical boundary" (a verdict is critical or
-    absent; no expected sum), "singular root" (a ball of radius 0) or
-    "mismatch", which a root nearest the first `fixed` centres reads too."""
+    outcome is "closed", "subcritical virus" (a verdict is absent) or
+    "critical boundary" (a verdict is critical), both with no expected
+    sum, "singular root" (a ball of radius 0) or "mismatch", which a root
+    nearest the first `fixed` centres reads too."""
     V = np.array([s.as_vector() for s in _dedup(roots)])
     V = V.reshape(-1, 1, known.centres.shape[1])
     near = np.abs(V - known.centres).max(axis=-1).argmin(axis=-1)
     total = int(known.signs[near].sum())
-    iota = [{"locally_stable": 1, "unstable": -1}.get(
-        getattr(v, "verdict", None)) for v in a.boundary]
+    if None in a.boundary:
+        return total, None, "subcritical virus"
+    iota = [{"locally_stable": 1, "unstable": -1}.get(v.verdict)
+            for v in a.boundary]
     if None in iota:
         return total, None, "critical boundary"
     expected = -(iota[0] + iota[1]) // 2
@@ -791,20 +802,20 @@ def _index_check(a, known, fixed, roots):
     return total, expected, "closed"
 
 
-def find_coexistence_newton(sys: BivirusSystem | Analysis, seeds=None):
-    """Coexistence equilibria by damped Newton from a family of seeds:
-    `seeds` (States or flat vectors), or `default_seed_grid` when None.
+def find_coexistence_newton(sys: BivirusSystem | Analysis):
+    """Coexistence equilibria by damped Newton from the seeds of
+    `default_seed_grid`, the only seed source.
 
     The seeds run through `_newton_root` in lockstep batches, as many per
-    batch as keep its Jacobian stack within NEWTON_BATCH_BYTES.  The
-    default grid runs in two stages: its seeds at the levels
-    SEED_LEVELS[::4] of both intensities (at most 9, spread over the
-    grid), then the rest in grid order.  After stage 1 and after every
-    later batch the search stops if the index identity closes on the
-    roots found (`_index_check`).  That is a stopping rule, not a proof:
-    roots whose indices cancel can remain unfound, so the result is not
-    complete.  Where the identity is undefined (a critical boundary, or a
-    singular root, as on a line) every seed runs, as explicit `seeds` do.
+    batch as keep its Jacobian stack within NEWTON_BATCH_BYTES, in two
+    stages: the seeds at the levels SEED_LEVELS[::4] of both intensities
+    (at most 9, spread over the grid), then the rest in grid order.  After
+    stage 1 and after every later batch the search stops if the index
+    identity closes on the roots found (`_index_check`).  That is a
+    stopping rule, not a proof: roots whose indices cancel can remain
+    unfound, so the result is not complete.  Where the identity is
+    undefined (a critical boundary, or a singular root, as on a line)
+    every seed runs; where a virus is subcritical the grid is empty.
 
     A seed converges when its residual falls to NEWTON_TOL, and its root
     then takes one more full Newton step if that lowers the residual
@@ -815,23 +826,16 @@ def find_coexistence_newton(sys: BivirusSystem | Analysis, seeds=None):
     healthy state, a boundary equilibrium, or any root reached so far) is
     retired: it could only end at that root.  The DEBUG log counts the
     seeds run, converged, retired and failed, and gives the identity's
-    outcome; a seed with a NaN or infinite entry raises DomainError.  On a
-    line of equilibria the Jacobians are singular, so no seed retires
-    there; the returned points are many and carry spectrum_class ==
-    'singular_boundary'.
+    outcome.  On a line of equilibria the Jacobians are singular, so no
+    seed retires there; the returned points are many and carry
+    spectrum_class == 'singular_boundary'.
     """
     a = analysis(sys)
     ns = a.ns
     k = 2 * ns.n
-    if seeds is None:
-        starts = default_seed_grid(a)
-    else:
-        starts = np.array([s.as_vector() if isinstance(s, State) else s
-                           for s in seeds], dtype=float).reshape(len(seeds), k)
-    if not np.isfinite(starts).all():
-        raise DomainError("newton seed has a NaN or infinite entry")
-    staged = len(starts)       # the seeds that run before the first check
-    if seeds is None and staged:     # stage 1 first: levels SEED_LEVELS[::4]
+    starts = default_seed_grid(a)
+    staged = 0                 # the seeds that run before the first check
+    if len(starts):            # stage 1 first: levels SEED_LEVELS[::4]
         levels = starts[:, [0, ns.n]] / [a.bars[0][0], a.bars[1][0]]
         first = np.isclose(levels[..., None], SEED_LEVELS[::4]).any(-1).all(-1)
         starts = starts[np.argsort(~first, kind="stable")]
@@ -839,9 +843,9 @@ def find_coexistence_newton(sys: BivirusSystem | Analysis, seeds=None):
     f = model.field(ns)
     jac_rows = 0
 
-    # Damped Newton accepts only steps that strictly lower a finite
-    # residual, so iterates from a finite seed stay finite and the
-    # Jacobian needs no containment check.
+    # The grid's seeds are finite (the profiles lie in (0, 1)), and damped
+    # Newton accepts only steps that strictly lower a finite residual, so
+    # the iterates stay finite and the Jacobian needs no containment check.
     def jac(v):
         nonlocal jac_rows
         jac_rows += v.size // k
@@ -995,7 +999,7 @@ def construct_equilibrium_line(B1, mu: float = 1.0, c_matrix=None,
     if speclin.spectral_radius(B1) <= 1.0:
         raise DomainError("B1 is subcritical: no endemic profile to build on")
 
-    z = single_virus_endemic(B1, eye, tol=1e-13)
+    z = _endemic_profile(B1, np.ones(n), tol=1e-13)
     rank_one = np.outer(z, z / float(z @ z))
     if c_matrix is None:
         C = rank_one

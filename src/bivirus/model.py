@@ -64,7 +64,7 @@ class BivirusSystem:
 
 @dataclass(frozen=True)
 class State:
-    """Paired infection-fraction vectors (x1, x2)."""
+    """Paired infection-fraction vectors (x1, x2), 1-D and of one length."""
 
     x1: np.ndarray
     x2: np.ndarray
@@ -72,6 +72,9 @@ class State:
     def __post_init__(self):
         object.__setattr__(self, "x1", _frozen_array(np.atleast_1d(self.x1)))
         object.__setattr__(self, "x2", _frozen_array(np.atleast_1d(self.x2)))
+        if self.x1.ndim != 1 or self.x1.shape != self.x2.shape:
+            raise DomainError(f"x1 and x2 must be 1-D of one length, got "
+                              f"shapes {self.x1.shape} and {self.x2.shape}")
 
     @property
     def n(self) -> int:

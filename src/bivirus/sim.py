@@ -74,7 +74,7 @@ import numpy as np
 
 from . import equilibria, model, speclin
 from .exceptions import DomainError, IntegrationError
-from .equilibria import Analysis, EnumerationResult
+from .equilibria import Analysis, EnumerationResult, analysis
 from .model import BivirusSystem, State
 
 log = logging.getLogger(__name__)
@@ -333,6 +333,8 @@ def _integrate_starts(sys, starts, t_end, *, record_interval=1.0,
         raise DomainError(f"stop_tol must be None or finite and >= 0, "
                           f"got {stop_tol}")
     for s in starts:
+        if s.n != sys.n:
+            raise DomainError(f"start has {s.n} nodes, the system {sys.n}")
         model.require_in_feasible_set(s)
     window = max(min(20.0, 0.1 * t_end), 2.0 * min(record_interval, t_end))
     start = 0.0
@@ -349,22 +351,14 @@ def _integrate_starts(sys, starts, t_end, *, record_interval=1.0,
         for times, states, stopped in runs]
 
 
-def _validated(sys):
-    """The system of sys: a BivirusSystem, validated here (`model.validate`
-    raises ValidationError on a broken one), or an `equilibria.Analysis`,
-    whose system was validated when it was built."""
-    if isinstance(sys, Analysis):
-        return sys.system
-    return model.validate(sys)
-
-
 def integrate(sys: BivirusSystem | Analysis, s0: State,
               t_end: float = DEFAULT_T_END,
               *, record_interval: float = 1.0,
               stop_tol: float | None = DEFAULT_STOP_TOL) -> Trajectory:
     """Integrate the bivirus dynamics from s0 at t = 0 to t_end, at the
     tolerances `RTOL` and `ATOL`, and record at a uniform stride.  sys is
-    a system, validated first, or its `equilibria.Analysis`.
+    a system or its `equilibria.Analysis` (`equilibria.analysis`), and s0
+    must have its n nodes (DomainError otherwise).
 
     Every accepted state is checked against the feasible set: drift within
     `model.CONTAINMENT_TOL` passes untouched, and drift beyond it aborts
@@ -379,7 +373,7 @@ def integrate(sys: BivirusSystem | Analysis, s0: State,
     This is a lockstep batch of one start, the same stepper that
     `sandwich_test` and `basin_probe` run on all their starts at once.
     """
-    return _integrate_starts(_validated(sys), [s0], t_end,
+    return _integrate_starts(analysis(sys).system, [s0], t_end,
                              record_interval=record_interval,
                              stop_tol=stop_tol)[0]
 
@@ -460,8 +454,7 @@ def sandwich_test(sys: BivirusSystem | Analysis,
                   t_end: float = DEFAULT_T_END, tol: float = 1e-6, *,
                   stop_tol: float = DEFAULT_STOP_TOL) -> SandwichResult:
     """Integrate from the two eta-inset corners and compare limits.  sys
-    is a system, validated first (`equilibria.analysis`), or its
-    `equilibria.Analysis`.
+    is a system or its `equilibria.Analysis`.
 
     Both corners run as one lockstep batch of the `integrate` stepper,
     retiring on the certificate of `_AttractionBalls`, built on the
@@ -484,7 +477,7 @@ def sandwich_test(sys: BivirusSystem | Analysis,
     if not 0.0 <= tol < math.inf:
         raise DomainError(f"tol (the agreement tolerance) must be finite "
                           f"and >= 0, got {tol}")
-    a = equilibria.analysis(sys)
+    a = analysis(sys)
     sys = a.system
     corners = _corner_states(sys.n, eta)
     centres = a.direct
@@ -761,7 +754,7 @@ def basin_probe(sys: BivirusSystem | Analysis, equilibria,
                 grid: GridSpec = None) -> ProbeResult:
     """Integrate from every grid start and label each run by the nearest
     known equilibrium (`nearest_equilibrium`), or unresolved.  sys is a
-    system, validated first, or its `equilibria.Analysis`.
+    system or its `equilibria.Analysis`.
 
     `equilibria` is the output of enumerate_equilibria (or any list of
     Equilibrium); run the enumeration first so the labels mean something.
@@ -797,7 +790,7 @@ def basin_probe(sys: BivirusSystem | Analysis, equilibria,
     bounds bracket like path points), the order bounds filed, the time
     of the last retirement and the stepper tolerance.
     """
-    sys = _validated(sys)
+    sys = analysis(sys).system
     grid = grid or GridSpec()
     eq_list = list(equilibria)
     legend = [e.kind for e in eq_list]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import bivirus as bv
-from bivirus import CASES, cases, equilibria, model
+from bivirus import CASES, cases, equilibria, model, speclin
 from bivirus.exceptions import ConvergenceError, DomainError
 from bivirus.model import BivirusSystem, State
 
@@ -222,13 +222,16 @@ class TestSolveCoexistenceN2:
 
 
 class TestFindCoexistenceNewton:
-    def test_case2_grid_matches_analytic(self):
+    def test_case2_grid_matches_analytic(self, monkeypatch):
         sys = CASES["case2"].system()
         x1bar, x2bar = equilibria.analysis(sys).bars
         levels = np.linspace(0.1, 0.9, 5)
-        seeds = [State(a * x1bar, b * x2bar) for a in levels for b in levels
+        seeds = [np.concatenate([a * x1bar, b * x2bar])
+                 for a in levels for b in levels
                  if (a * x1bar + b * x2bar <= 1.0).all()]
-        found = bv.find_coexistence_newton(sys, seeds=seeds)
+        monkeypatch.setattr(equilibria, "default_seed_grid",
+                            lambda a: np.array(seeds))
+        found = bv.find_coexistence_newton(sys)
         assert len(found) == 1
         (analytic,) = bv.solve_coexistence_n2(sys)
         assert np.max(np.abs(found[0].coordinates()
@@ -251,15 +254,6 @@ class TestFindCoexistenceNewton:
         for eq in found:
             assert eq.residual <= 1e-9
             assert model.is_strictly_interior(eq.state)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_seed_raises(self, bad):
-        # The Newton Jacobian skips its containment check, so the seed
-        # check is what refuses a NaN or infinite start.
-        sys = CASES["case2"].system()
-        seed = np.array([0.3, 0.3, bad, 0.3])
-        with pytest.raises(DomainError):
-            bv.find_coexistence_newton(sys, seeds=[np.full(4, 0.3), seed])
 
 
 class TestMidpointSeed:
@@ -692,6 +686,25 @@ def test_enumeration_same_from_system_or_analysis():
             _enumeration_doc(bv.enumerate_equilibria(sys))
 
 
+def test_analysis_only_validates(monkeypatch):
+    # The spectral work waits for first use, and happens once.
+    calls = []
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return counted
+    monkeypatch.setattr(speclin, "spectral_radius",
+                        spy("radius", speclin.spectral_radius))
+    monkeypatch.setattr(equilibria, "_endemic_profile",
+                        spy("profile", equilibria._endemic_profile))
+    a = equilibria.analysis(CASES["case2"].system())
+    assert calls == []
+    assert a.bars is a.bars
+    assert calls == ["radius", "radius", "profile", "profile"]
+
+
 #: B2 scale at which rho_cross of case2's (0, x2_bar) crosses 1.
 C_STAR = 0.9498439582505509
 
@@ -1036,8 +1049,10 @@ class TestStagedSearch:
         staged = bv.find_coexistence_newton(a)
         staged_rows = sum(rows)
         rows.clear()
-        full = bv.find_coexistence_newton(
-            a, seeds=equilibria.default_seed_grid(a))
+        # the reference runs the whole grid: its identity never closes
+        monkeypatch.setattr(equilibria, "_index_check",
+                            lambda *args: (0, None, "never closed"))
+        full = bv.find_coexistence_newton(a)
         assert len(staged) == len(full) == 1
         assert 4 * staged_rows <= sum(rows)
 
@@ -1052,6 +1067,12 @@ class TestStagedSearch:
                              line).groups()
         assert ran == size
         assert line.endswith("expected None: critical boundary")
+
+    def test_log_says_subcritical(self, caplog):
+        sys = _lift(BivirusSystem(B1, EYE, 0.3 * CASES["case2"].B2, EYE))
+        line = _newton_log(caplog, sys)
+        assert line.startswith("newton search: 0 of 0 seeds run")
+        assert line.endswith("index sum 0, expected None: subcritical virus")
 
     def test_log_says_closed(self, caplog):
         line = _newton_log(caplog, _lift(CASES["case3"].system()))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,15 @@ class TestVectorField:
             dx = bv.field(sys)(State(x1, x2).as_vector())
             dz = -(dx[:2] + dx[2:])
             assert (dz > 0).all()
+
+
+class TestState:
+    @pytest.mark.parametrize("x1, x2", [
+        ([0.1, 0.1], [0.1, 0.1, 0.1]), ([[0.1], [0.1]], [[0.1], [0.1]])])
+    def test_ragged_or_not_flat_refused(self, x1, x2):
+        shapes = f"shapes {np.shape(x1)} and {np.shape(x2)}"
+        with pytest.raises(DomainError, match=re.escape(shapes)):
+            State(x1, x2)
 
 
 class TestJacobian:

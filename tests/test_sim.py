@@ -77,6 +77,10 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             bv.integrate(CASES["case2"].system(), State([0.8, 0.2], [0.8, 0.2]))
 
+    def test_start_of_another_size_rejected(self):
+        with pytest.raises(DomainError, match="3 nodes, the system 2"):
+            bv.integrate(CASES["case2"].system(), State.zero(3))
+
 
 class TestDetectConvergence:
     """The stop rule is the one convergence test: a run it stops is
