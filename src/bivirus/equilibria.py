@@ -815,7 +815,8 @@ def find_coexistence_newton(sys: BivirusSystem | Analysis):
     stopping rule, not a proof: roots whose indices cancel can remain
     unfound, so the result is not complete.  Where the identity is
     undefined (a critical boundary, or a singular root, as on a line)
-    every seed runs; where a virus is subcritical the grid is empty.
+    every seed runs; where a virus is subcritical the grid is empty, and
+    the search returns no points without building a Jacobian.
 
     A seed converges when its residual falls to NEWTON_TOL, and its root
     then takes one more full Newton step if that lowers the residual
@@ -834,12 +835,15 @@ def find_coexistence_newton(sys: BivirusSystem | Analysis):
     ns = a.ns
     k = 2 * ns.n
     starts = default_seed_grid(a)
-    staged = 0                 # the seeds that run before the first check
-    if len(starts):            # stage 1 first: levels SEED_LEVELS[::4]
-        levels = starts[:, [0, ns.n]] / [a.bars[0][0], a.bars[1][0]]
-        first = np.isclose(levels[..., None], SEED_LEVELS[::4]).any(-1).all(-1)
-        starts = starts[np.argsort(~first, kind="stable")]
-        staged = int(first.sum())
+    if not len(starts):
+        log.debug("newton search: 0 of 0 seeds run, no Jacobian rows; "
+                  "index sum 0, expected None: subcritical virus")
+        return []
+    # stage 1 first: levels SEED_LEVELS[::4]
+    levels = starts[:, [0, ns.n]] / [a.bars[0][0], a.bars[1][0]]
+    first = np.isclose(levels[..., None], SEED_LEVELS[::4]).any(-1).all(-1)
+    starts = starts[np.argsort(~first, kind="stable")]
+    staged = int(first.sum())      # the seeds that run before the first check
     f = model.field(ns)
     jac_rows = 0
 
@@ -948,11 +952,15 @@ def order_bounds(sys: BivirusSystem, eqs, f):
         if e.spectrum_class != "unstable":
             continue
         # One step of inverse iteration from 1 at a shift mu just right of
-        # M's rightmost eigenvalue: (mu I - M)^-1 >= 0 maps 1 along the
-        # Perron vector.  (np.linalg.eig's first call would raise a
-        # process's peak RSS by about 0.13 MB.)
+        # M's rightmost eigenvalue, e.abscissa (`classify_state` took it
+        # blockwise where M is reducible, at the healthy state and the
+        # boundary equilibria; whole, Noda's iteration would stall there):
+        # (mu I - M)^-1 >= 0 maps 1 along the Perron vector.  The shift
+        # only steers the step, as each bound is checked below.
+        # (np.linalg.eig's first call would raise a process's peak RSS by
+        # about 0.13 MB.)
         M = model.transformed_jacobian(sys, e.state)
-        mu = speclin.spectral_abscissa(M) + 1e-8 * np.abs(M).max()
+        mu = e.abscissa + 1e-8 * np.abs(M).max()
         try:
             p = np.linalg.solve(mu * np.eye(2 * n) - M, np.ones(2 * n))
         except np.linalg.LinAlgError:

@@ -1074,6 +1074,20 @@ class TestStagedSearch:
         assert line.startswith("newton search: 0 of 0 seeds run")
         assert line.endswith("index sum 0, expected None: subcritical virus")
 
+    def test_empty_grid_builds_no_jacobian(self, monkeypatch):
+        a = equilibria.analysis(
+            _lift(BivirusSystem(B1, EYE, 0.3 * CASES["case2"].B2, EYE)))
+        a.direct   # the boundary verdicts, whose profiles need Jacobians
+        calls = []
+        jacobian = model.jacobian
+
+        def counted(ns, v):
+            calls.append(v)
+            return jacobian(ns, v)
+        monkeypatch.setattr(model, "jacobian", counted)
+        assert bv.find_coexistence_newton(a) == []
+        assert calls == []
+
     def test_log_says_closed(self, caplog):
         line = _newton_log(caplog, _lift(CASES["case3"].system()))
         ran = int(re.match(r"newton search: (\d+) of 75 seeds run",

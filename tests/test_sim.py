@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import bivirus as bv
-from bivirus import CASES, equilibria, model, sim
+from bivirus import CASES, equilibria, model, sim, speclin
 from bivirus.exceptions import DomainError, IntegrationError, ValidationError
 from bivirus.model import BivirusSystem, State
 from bivirus.sim import _integrate_flat, _integrate_starts
@@ -929,6 +929,29 @@ class TestOrderBounds:
         monkeypatch.setattr(model, "residual", refused)
         bv.basin_probe(sys, enum, sim.GridSpec(n_a=4, n_b=4))
         assert len(built) == 2
+
+    @pytest.mark.parametrize("name", ["case2", "case3", "case4"])
+    def test_bounds_shift_by_the_listed_abscissa(self, name, monkeypatch,
+                                                 caplog):
+        # Each unstable equilibrium's abscissa was computed when it was
+        # classified, so filing its order bounds computes none.
+        sys = CASES[name].system()
+        enum = bv.enumerate_equilibria(sys)
+        calls = []
+        abscissa = speclin.spectral_abscissa
+
+        def counted(M):
+            calls.append(M)
+            return abscissa(M)
+
+        monkeypatch.setattr(speclin, "spectral_abscissa", counted)
+        with caplog.at_level(logging.DEBUG, logger="bivirus.sim"):
+            bv.basin_probe(sys, enum, sim.GridSpec(n_a=4, n_b=4))
+        (line,) = [r.getMessage() for r in caplog.records]
+        filed = int(re.search(r"0 unresolved, (\d+) order bounds;",
+                              line).group(1))
+        assert filed == TestOrderBounds.FILED[name][1]
+        assert calls == []
 
 
 class TestRetirementAtStart:

@@ -1,8 +1,13 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
-from bivirus import speclin
+from bivirus import CASES, model, speclin
+from bivirus.cli import build_analysis_report
 from bivirus.exceptions import DomainError
+from bivirus.model import BivirusSystem, State
 
 import oracles
 from conftest import weak_communities
@@ -226,3 +231,117 @@ class TestClassifyMetzler:
         xbar = (1.0 - 1.0 / 2.6) * np.ones(2)
         M = -np.eye(2) + (1.0 - xbar)[:, None] * B_SYM
         assert speclin.classify_metzler(M) == "singular_boundary"
+
+
+def _dense_rightmost(M):
+    return float(np.max(np.linalg.eigvals(M).real))
+
+
+def _random_metzler(rng, n):
+    """Irreducible Metzler matrix: a sparse nonnegative pattern closed into
+    a directed cycle, with a diagonal of either sign."""
+    A = (rng.random((n, n)) < 0.1) * rng.uniform(0.1, 1.0, (n, n))
+    A += 0.2 * np.roll(np.eye(n), 1, axis=0)
+    np.fill_diagonal(A, rng.uniform(-3.0, 1.0, n))
+    return A
+
+
+def _lifted_line_jacobian(copies):
+    """Transformed Jacobian at the midpoint of case1's line of equilibria,
+    lifted to n = 2 * copies: singular, with abscissa 0."""
+    block = np.full((copies, copies), 1.0 / copies)
+    eye = np.eye(2 * copies)
+    case1 = CASES["case1"].system()
+    sys = BivirusSystem(np.kron(case1.B1, block), eye,
+                        np.kron(case1.B2, block), eye)
+    z = (1.0 - 1.0 / 2.6) * np.ones(2 * copies)   # both profiles
+    return model.transformed_jacobian(sys, State(z / 2, z / 2))
+
+
+class TestNodaKernel:
+    """From NODA_MIN_N nodes up the rightmost eigenvalue comes from Noda's
+    iteration, which must agree with the dense eigensolver to rounding and
+    fall back to it where it stalls."""
+
+    @staticmethod
+    def assert_agrees(M):
+        s = speclin._noda(M)
+        assert s is not None
+        assert abs(s - _dense_rightmost(M)) <= 1e-13 * np.abs(M).max()
+        return s
+
+    @pytest.mark.parametrize("n", [32, 50, 100, 200])
+    def test_random_irreducible_metzler(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            M = _random_metzler(rng, n)
+            assert speclin.is_irreducible(M - np.diag(np.diag(M)))
+            s = self.assert_agrees(M)
+            assert speclin.spectral_abscissa(M) == s
+            c = M.diagonal().min()     # M - c I is nonnegative
+            assert speclin.spectral_radius(M - c * np.eye(n)) == \
+                pytest.approx(s - c, rel=1e-13)
+
+    def test_weak_communities(self):
+        A = weak_communities(np.random.default_rng(40), 40, 1e-5, 1.8)
+        self.assert_agrees(A)
+        self.assert_agrees(-np.eye(40) + A)
+
+    def test_singular_line_point(self):
+        PJP = _lifted_line_jacobian(20)
+        s = self.assert_agrees(PJP)
+        assert abs(s) <= 1e-12
+        assert speclin.classify_metzler(PJP) == "singular_boundary"
+
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_reducible_input_falls_back(self, caplog, coupled):
+        # Block-diagonal, or block-triangular with the dominant block (the
+        # first, root 11.13 against 10.47) fed by the other: either way the
+        # Perron vector is zero on the second block.
+        rng = np.random.default_rng(3)
+        M = np.zeros((40, 40))
+        M[:20, :20] = rng.uniform(0.1, 1.0, (20, 20))
+        M[20:, 20:] = rng.uniform(0.1, 1.0, (20, 20))
+        M[:20, 20:] = 0.3 * coupled
+        with caplog.at_level(logging.DEBUG, logger="bivirus.speclin"):
+            s = speclin.spectral_abscissa(M)
+        assert s == _dense_rightmost(M)
+        (line,) = [r.getMessage() for r in caplog.records]
+        assert line.startswith("spectral kernel: Noda iteration at n = 40 "
+                               "stopped")
+        solves = re.search(r"after (\d+) solves, bracket \[\S+, \S+\] of "
+                           r"width \S+ against tolerance \S+", line).group(1)
+        # the upper end stalls after 6 (10) solves; without that stop the
+        # run would go on until rounding spoils an iterate, at 27 (31)
+        assert int(solves) <= 16
+
+    def test_below_the_threshold_is_dense(self, monkeypatch):
+        M = _random_metzler(np.random.default_rng(5), speclin.NODA_MIN_N - 1)
+
+        def refused(M):
+            raise AssertionError("Noda iteration below NODA_MIN_N")
+        monkeypatch.setattr(speclin, "_noda", refused)
+        assert speclin.spectral_abscissa(M) == _dense_rightmost(M)
+
+    def test_analysis_at_n_100_never_falls_back(self, monkeypatch):
+        # Every matrix of the report is n x n or 2n x 2n with n = 100, so an
+        # eigvals call would be a silent fallback.
+        rng = np.random.default_rng(101)
+        block = np.full((50, 50), 1.0 / 50)
+
+        def noisy(M):
+            return M * (1.0 + 0.02 * rng.uniform(-1.0, 1.0, size=M.shape))
+        eye = np.eye(100)
+        case2 = CASES["case2"].system()
+        sys = BivirusSystem(noisy(np.kron(case2.B1, block)), eye,
+                            noisy(np.kron(case2.B2, block)), eye)
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counted(M):
+            calls.append(M.shape)
+            return eigvals(M)
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        rep = build_analysis_report(sys)
+        assert len(rep.enumeration.of_kind("coexistence")) == 1
+        assert calls == []
